@@ -165,7 +165,8 @@ def load_csv(path):
     """Numeric matrix from a comma-separated file; final column is the target.
 
     A header row is detected by a non-numeric first row and skipped.  Any
-    unparseable cell in a data row raises with its 1-based row and column.
+    unparseable or non-finite (``nan``, ``inf``) cell in a data row raises
+    with its 1-based row and column.
     """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -199,7 +200,15 @@ def load_csv(path):
                     f"{path}: row {r}, column {c}: cannot parse {cell!r}"
                 ) from None
         rows.append(parsed)
-    return np.asarray(rows, dtype=float)
+    matrix = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        r, c = bad[0]
+        raise DataFormatError(
+            f"{path}: row {start + r + 1}, column {c + 1}: non-finite value "
+            f"{raw[start + r][c]!r}"
+        )
+    return matrix
 
 
 def rmse(predicted, truth) -> float:
@@ -309,12 +318,13 @@ def _pool_labels(rep_seed, profiles, efforts, targets, instance_positions):
     return labels
 
 
-def _choose_scale(config, rep_seed, pool_features, centers, labels):
+def _choose_scale(config, rep_seed, pool_features, centers, labels, m):
     """Pick the sigmoid scale from ``s_grid`` by held-out validation.
 
     With a single candidate there is nothing to choose.  Otherwise 20% of the
     labeled instances are held out and each candidate is scored by RMSE of the
-    fitted model against the held-out mean crowd label.
+    fitted model against the held-out mean crowd label.  ``m`` is the size
+    of the annotator population that gave ``labels``.
     """
     if len(config.s_grid) == 1:
         return config.s_grid[0]
@@ -336,10 +346,9 @@ def _choose_scale(config, rep_seed, pool_features, centers, labels):
     for s in config.s_grid:
         spec = TransformSpec(centers, s, "sigmoid")
         phi = transform(pool_features, spec)
-        ds = CrowdDataset(phi, train_labels, config.num_annotators)
+        ds = CrowdDataset(phi, train_labels, m)
         weights, _, _ = fit_variational(
-            ds, default_weight_prior(phi.shape[1]),
-            default_precision_priors(config.num_annotators),
+            ds, default_weight_prior(phi.shape[1]), default_precision_priors(m),
             tolerance=config.vi_tolerance, max_sweeps=config.initial_sweeps,
         )
         err = rmse(phi[val_idx] @ weights.mean, val_target)
@@ -365,12 +374,12 @@ def _prepare_split(config, data, rep_seed):
     return pool_idx, pool_norm, pool_z, test_norm, test_z
 
 
-def _transform_features(config, rep_seed, pool_norm, test_norm, labels):
+def _transform_features(config, rep_seed, pool_norm, test_norm, labels, m):
     if config.transform == "linear":
         return pool_norm, test_norm
     d = pool_norm.shape[1]
     centers = fit_centers(pool_norm, d, [rep_seed, _KMEANS])
-    s = _choose_scale(config, rep_seed, pool_norm, centers, labels)
+    s = _choose_scale(config, rep_seed, pool_norm, centers, labels, m)
     spec = TransformSpec(centers, s, "sigmoid")
     return transform(pool_norm, spec), transform(test_norm, spec)
 
@@ -404,7 +413,7 @@ def _run_repetition(config, data, rep):
     labels = _pool_labels(rep_seed, profiles, efforts, pool_z, seed_positions)
 
     pool_phi, test_phi = _transform_features(
-        config, rep_seed, pool_norm, test_norm, labels
+        config, rep_seed, pool_norm, test_norm, labels, m
     )
     d = pool_phi.shape[1]
     weight_prior = default_weight_prior(d)
@@ -520,7 +529,7 @@ def full_fit(config: ExperimentConfig):
         labels = _pool_labels(rep_seed, profiles, efforts, pool_z,
                               range(pool_norm.shape[0]))
         pool_phi, test_phi = _transform_features(
-            config, rep_seed, pool_norm, test_norm, labels
+            config, rep_seed, pool_norm, test_norm, labels, m
         )
         dataset = CrowdDataset(pool_phi, labels, m)
         weights, _, _ = fit_variational(

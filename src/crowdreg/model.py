@@ -14,6 +14,7 @@ coordinate updates until no parameter moves more than a tolerance.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,9 +49,27 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _check_label(i, j, y, n: int, m: int) -> float:
+    if not (0 <= i < n and 0 <= j < m and math.isfinite(y)):
+        raise InvalidInputError(f"label ({i}, {j}) = {y!r}: key out of range "
+                                f"or label not finite")
+    return float(y)
+
+
+def _accumulate(stats, j, rows, ys) -> None:
+    """Add the labels ``ys`` on ``rows`` to annotator ``j``'s statistics."""
+    gram = (rows.T @ rows).ravel()
+    for a, term in zip(stats, (gram, rows.T @ ys, ys @ ys, len(ys))):
+        a[j] += term
+
+
 @dataclass(frozen=True)
 class CrowdDataset:
     """Feature matrix plus a sparse map of per-annotator labels.
+
+    Construction validates every label.  :meth:`with_label` validates only
+    the new one and adds it to a copy of the per-annotator sufficient
+    statistics as one rank-one update: O(d^2) arithmetic per label.
 
     Parameters
     ----------
@@ -80,12 +99,8 @@ class CrowdDataset:
             raise InvalidInputError("num_annotators must be at least 1")
         object.__setattr__(self, "instances", _frozen_array(inst))
         object.__setattr__(self, "labels", dict(self.labels))
-        n = inst.shape[0]
         for (i, j), y in self.labels.items():
-            if not (0 <= i < n and 0 <= j < self.num_annotators):
-                raise InvalidInputError(f"label key ({i}, {j}) out of range")
-            if not np.isfinite(y):
-                raise InvalidInputError(f"label for ({i}, {j}) is not finite")
+            _check_label(i, j, y, inst.shape[0], self.num_annotators)
 
     @property
     def n(self) -> int:
@@ -108,35 +123,27 @@ class CrowdDataset:
         ind.setflags(write=False)
         return ind
 
-    @cached_property
+    @property
     def label_counts(self) -> np.ndarray:
-        """Number of labels provided by each annotator."""
-        counts = np.zeros(self.num_annotators, dtype=int)
-        for (_, j) in self.labels:
-            counts[j] += 1
+        """Number of labels provided by each annotator (read-only)."""
+        counts = self._suffstats[3].view()
         counts.setflags(write=False)
         return counts
 
     @cached_property
     def _suffstats(self):
-        """Per-annotator (X_j' X_j, X_j' y_j, y_j' y_j, n_j), stacked."""
+        """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked."""
         m, d = self.num_annotators, self.d
-        gram = np.zeros((m, d, d))
-        xty = np.zeros((m, d))
-        ysq = np.zeros(m)
-        counts = np.zeros(m, dtype=int)
+        stats = (np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m),
+                 np.zeros(m, dtype=int))
         grouped: dict[int, list[tuple[int, float]]] = defaultdict(list)
         for (i, j), y in self.labels.items():
             grouped[j].append((i, y))
         for j, pairs in grouped.items():
             idx = np.fromiter((i for i, _ in pairs), dtype=int, count=len(pairs))
             yv = np.fromiter((y for _, y in pairs), dtype=float, count=len(pairs))
-            rows = self.instances[idx]
-            gram[j] = rows.T @ rows
-            xty[j] = rows.T @ yv
-            ysq[j] = yv @ yv
-            counts[j] = len(pairs)
-        return gram, xty, ysq, counts
+            _accumulate(stats, j, self.instances[idx], yv)
+        return stats
 
     def annotator_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Instances labeled by annotator ``j`` and the matching labels."""
@@ -151,9 +158,15 @@ class CrowdDataset:
         """A new dataset with one extra label; the original is untouched."""
         if (i, j) in self.labels:
             raise InvalidInputError(f"label for ({i}, {j}) already present")
-        new = dict(self.labels)
-        new[(i, j)] = float(y)
-        return CrowdDataset(self.instances, new, self.num_annotators)
+        y = _check_label(i, j, y, self.n, self.num_annotators)
+        stats = tuple(a.copy() for a in self._suffstats)
+        _accumulate(stats, j, self.instances[i:i + 1], np.array([y]))
+        # Every other field is already validated: skip __post_init__.
+        child = object.__new__(CrowdDataset)
+        child.__dict__.update(instances=self.instances, _suffstats=stats,
+                              labels={**self.labels, (i, j): y},
+                              num_annotators=self.num_annotators)
+        return child
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,10 +219,6 @@ class WeightPosterior:
         cov = cho_solve(self._chol, np.eye(self.dim))
         return _frozen_array(0.5 * (cov + cov.T))
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``precision @ x = rhs`` via the cached factorization."""
-        return cho_solve(self._chol, np.asarray(rhs, dtype=float))
-
     def quadform(self, x: np.ndarray):
         """``x' precision^-1 x`` for a vector, or row-wise for a matrix."""
         x = np.asarray(x, dtype=float)
@@ -219,7 +228,7 @@ class WeightPosterior:
                 f"dimension {self.dim}"
             )
         if x.ndim == 1:
-            return float(max(x @ self.solve(x), 0.0))
+            return float(max(x @ cho_solve(self._chol, x), 0.0))
         if x.ndim == 2:
             sols = cho_solve(self._chol, x.T)
             return np.maximum(np.einsum("ij,ji->i", x, sols), 0.0)
@@ -266,6 +275,49 @@ def expected_precision(posterior: PrecisionPosterior) -> float:
     return posterior.shape / posterior.rate
 
 
+def _weight_step(stats, e, prior, prior_shift):
+    """(mean, precision, covariance) of q(w) given the expected annotator
+    precisions ``e``, or the prior's own arrays when no label carries weight.
+    With :func:`_rate_step` it makes one sweep; neither validates its input.
+    """
+    grams, xty, _, counts = stats
+    if not counts @ e > 0:  # e >= 0: no labeled annotator has weight
+        return prior.mean, prior.precision, prior.covariance
+    prec = prior.precision + (e @ grams).reshape(prior.dim, prior.dim)
+    prec = 0.5 * (prec + prec.T)
+    try:
+        factor = cho_factor(prec, lower=True)
+    except LinAlgError:
+        raise NumericalFailureError(
+            "weight update produced a non positive definite precision"
+        ) from None
+    # One solve gives the mean (first column) and the covariance.
+    sol = cho_solve(factor, np.column_stack([prior_shift + e @ xty,
+                                             np.eye(prior.dim)]),
+                    check_finite=False)
+    return sol[:, 0], prec, 0.5 * (sol[:, 1:] + sol[:, 1:].T)
+
+
+def _rate_step(stats, mean, cov, prior_rates, paper_literal):
+    """Gamma rates given the weight moments.
+
+    ``grams @ vec(cov + mean mean')`` is each annotator's summed E[(x'w)^2].
+    ``paper_literal`` gives the label-mean cross term the printed update's
+    factor of one; the default factor of two is the mean-field expectation of
+    the Gaussian likelihood, the form that passes the single-source check.
+    """
+    grams, xty, ysq, _ = stats
+    second = grams @ (cov + np.outer(mean, mean)).ravel()
+    cross = (1.0 if paper_literal else 2.0) * (xty @ mean)
+    rates = prior_rates + 0.5 * (ysq - cross + second)
+    # Unlabeled annotators keep their prior rate (> 0); NaN fails too.
+    if not (0 < rates.min() and rates.max() < np.inf):
+        raise NumericalFailureError(
+            "precision update produced a non-positive rate; the weight "
+            "posterior has likely diverged")
+    return rates
+
+
 def vi_update_weights(
     dataset: CrowdDataset,
     expected_betas: Sequence[float],
@@ -279,60 +331,15 @@ def vi_update_weights(
     returned unchanged.
     """
     e = np.asarray(expected_betas, dtype=float)
-    if e.shape != (dataset.num_annotators,):
+    m = dataset.num_annotators
+    if e.shape != (m,) or not np.all(np.isfinite(e)) or np.any(e < 0):
         raise InvalidInputError(
-            f"expected_betas must have length {dataset.num_annotators}, "
-            f"got shape {e.shape}"
-        )
-    if not np.all(np.isfinite(e)) or np.any(e < 0):
-        raise InvalidInputError("expected precisions must be finite and >= 0")
+            f"expected_betas must be {m} finite values >= 0, got {e!r}")
     if dataset.d != prior.dim:
-        raise InvalidInputError(
-            f"dataset dimension {dataset.d} does not match prior dimension "
-            f"{prior.dim}"
-        )
-    gram, xty, _, counts = dataset._suffstats
-    if dataset.total_labels == 0 or not np.any((e > 0) & (counts > 0)):
-        return prior
-    prec = prior.precision + np.tensordot(e, gram, axes=([0], [0]))
-    prec = 0.5 * (prec + prec.T)
-    rhs = prior.precision @ prior.mean + e @ xty
-    try:
-        factor = cho_factor(prec, lower=True)
-    except LinAlgError:
-        raise NumericalFailureError(
-            "weight update produced a non positive definite precision"
-        ) from None
-    mean = cho_solve(factor, rhs)
-    return WeightPosterior(mean, prec)
-
-
-def _precision_sweep(dataset, weights, prior_shapes, prior_rates, paper_literal):
-    """Vectorized Gamma updates for all annotators at once.
-
-    Returns updated (shapes, rates).  ``paper_literal`` selects the printed
-    form of the rate update, which carries the label-mean cross term with a
-    factor of one instead of the factor of two that the mean-field expectation
-    of the Gaussian likelihood produces.  The factor-two form is the default;
-    it is the one that passes the single-source conjugate check.
-    """
-    gram, xty, ysq, counts = dataset._suffstats
-    mu = weights.mean
-    cov = weights.covariance
-    quad = np.einsum("jkl,k,l->j", gram, mu, mu)
-    trace = np.einsum("jkl,lk->j", gram, cov)
-    cross = xty @ mu
-    shapes = prior_shapes + counts / 2.0
-    if paper_literal:
-        rates = prior_rates + 0.5 * (ysq - cross) + 0.5 * trace + 0.5 * quad
-    else:
-        rates = prior_rates + 0.5 * (ysq - 2.0 * cross + quad) + 0.5 * trace
-    if not np.all(np.isfinite(rates)) or np.any(rates[counts > 0] <= 0):
-        raise NumericalFailureError(
-            "precision update produced a non-positive rate; the weight "
-            "posterior has likely diverged"
-        )
-    return shapes, rates
+        raise InvalidInputError("dataset and weight posterior dimensions differ")
+    mean, prec, _ = _weight_step(dataset._suffstats, e, prior,
+                                 prior.precision @ prior.mean)
+    return prior if prec is prior.precision else WeightPosterior(mean, prec)
 
 
 def vi_update_precision(
@@ -352,14 +359,13 @@ def vi_update_precision(
         raise InvalidInputError(f"annotator index {j} out of range")
     if dataset.d != weights.dim:
         raise InvalidInputError("dataset and weight posterior dimensions differ")
-    if dataset.label_counts[j] == 0:
+    count = dataset.label_counts[j]
+    if count == 0:
         return prior
-    shapes = np.full(dataset.num_annotators, prior.shape)
-    rates = np.full(dataset.num_annotators, prior.rate)
-    new_shapes, new_rates = _precision_sweep(
-        dataset, weights, shapes, rates, paper_literal_gamma_update
-    )
-    return PrecisionPosterior(new_shapes[j], new_rates[j])
+    rate, = _rate_step(tuple(a[j:j + 1] for a in dataset._suffstats),
+                       weights.mean, weights.covariance,
+                       np.array([prior.rate]), paper_literal_gamma_update)
+    return PrecisionPosterior(prior.shape + count / 2.0, rate)
 
 
 def fit_variational(
@@ -378,53 +384,47 @@ def fit_variational(
     ``tolerance``.  Hitting ``max_sweeps`` first is not an error; the report
     records which happened.  ``warm_start`` seeds the sweep with posteriors
     from a previous fit, which makes incremental refits cheap.
+
+    The priors and the warm start are validated once, on entry.  Each sweep
+    works on the dataset's stacked sufficient statistics and factors the
+    weight precision once; the posterior objects are built at the end.
     """
     m = dataset.num_annotators
-    if len(precision_priors) != m:
-        raise InvalidInputError(
-            f"need {m} precision priors, got {len(precision_priors)}"
-        )
     if not tolerance > 0:
         raise InvalidInputError("tolerance must be positive")
     if max_sweeps < 1:
         raise InvalidInputError("max_sweeps must be at least 1")
+    start, start_precisions = warm_start or (weight_prior, precision_priors)
+    for weights, precisions in ((weight_prior, precision_priors),
+                                (start, start_precisions)):
+        if weights.dim != dataset.d or len(precisions) != m:
+            raise InvalidInputError(
+                f"need dimension {dataset.d} and {m} precision factors, got "
+                f"{weights.dim} and {len(precisions)}")
 
-    prior_shapes = np.array([p.shape for p in precision_priors])
-    prior_rates = np.array([p.rate for p in precision_priors])
+    stats = dataset._suffstats
+    prior_shift = weight_prior.precision @ weight_prior.mean
+    prior_shapes, prior_rates = np.array(
+        [(p.shape, p.rate) for p in precision_priors]).T
+    post_shapes = prior_shapes + dataset.label_counts / 2.0
+    mean, prec = start.mean, start.precision
+    shapes, rates = np.array([(p.shape, p.rate) for p in start_precisions]).T
 
-    if warm_start is not None:
-        weights, start_precisions = warm_start
-        if len(start_precisions) != m:
-            raise InvalidInputError("warm start has wrong number of precisions")
-        shapes = np.array([p.shape for p in start_precisions])
-        rates = np.array([p.rate for p in start_precisions])
-    else:
-        weights = weight_prior
-        shapes = prior_shapes.copy()
-        rates = prior_rates.copy()
-
-    converged = False
-    delta = np.inf
-    sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        new_weights = vi_update_weights(dataset, shapes / rates, weight_prior)
-        new_shapes, new_rates = _precision_sweep(
-            dataset, new_weights, prior_shapes, prior_rates,
-            paper_literal_gamma_update,
-        )
-        delta = max(
-            np.abs(new_weights.mean - weights.mean).max(initial=0.0),
-            np.abs(new_weights.precision - weights.precision).max(initial=0.0),
-            np.abs(new_shapes - shapes).max(initial=0.0),
-            np.abs(new_rates - rates).max(initial=0.0),
-        )
-        weights, shapes, rates = new_weights, new_shapes, new_rates
+        new_mean, new_prec, cov = _weight_step(
+            stats, shapes / rates, weight_prior, prior_shift)
+        new_rates = _rate_step(stats, new_mean, cov, prior_rates,
+                               paper_literal_gamma_update)
+        delta = float(max(
+            np.abs(new_mean - mean).max(), np.abs(new_prec - prec).max(),
+            np.abs(post_shapes - shapes).max(), np.abs(new_rates - rates).max()))
+        mean, prec, shapes, rates = new_mean, new_prec, post_shapes, new_rates
         if delta < tolerance:
-            converged = True
             break
 
+    weights = WeightPosterior(mean, prec) if dataset.total_labels else weight_prior
     precisions = [PrecisionPosterior(s, r) for s, r in zip(shapes, rates)]
-    return weights, precisions, FitReport(sweeps, converged, float(delta))
+    return weights, precisions, FitReport(sweeps, delta < tolerance, delta)
 
 
 def predictive(x: np.ndarray, weights: WeightPosterior) -> tuple[float, float]:

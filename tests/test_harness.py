@@ -17,6 +17,7 @@ from crowdreg import (
     summarize,
     synthetic_linear,
 )
+from crowdreg import harness
 from crowdreg.harness import RoundRecord
 
 
@@ -44,6 +45,17 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_text("1\n2\n")
         with pytest.raises(DataFormatError):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text,where", [
+        ("1,2,3\n4,nan,6\n7,8,9\n1,5,2\n", "row 2, column 2"),
+        ("x,z,y\n1,2,3\n4,5,6\ninf,8,9\n", "row 4, column 1"),
+    ])
+    def test_non_finite_cell_is_located(self, tmp_path, text, where):
+        # a NaN would otherwise reach normalize and zero its whole column
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=where + ": non-finite"):
             load_csv(path)
 
     def test_ragged_row(self, tmp_path):
@@ -208,6 +220,23 @@ class TestRunExperiment:
             finals[strategy] = np.mean([row[1] for row in summary])
         anchor = finals.pop("single_source")
         assert all(anchor <= value for value in finals.values())
+
+    def test_single_source_scale_search_fits_one_precision(self, monkeypatch):
+        # the lone source is the whole population, also while the sigmoid
+        # scale is chosen from a grid: every fit carries one precision factor
+        seen = []
+        fit = harness.fit_variational
+
+        def spy(dataset, weight_prior, precision_priors, **kwargs):
+            seen.append((dataset.num_annotators, len(precision_priors)))
+            return fit(dataset, weight_prior, precision_priors, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_variational", spy)
+        run_experiment(small_config(strategy="single_source",
+                                    transform="sigmoid", s_grid=(0.5, 1, 2),
+                                    budget=2, repetitions=1))
+        assert len(seen) == 3 + 1 + 2  # grid, seed fit, one per round
+        assert set(seen) == {(1, 1)}
 
     def test_single_source_has_zero_regret(self):
         records = run_experiment(small_config(strategy="single_source"))
