@@ -24,15 +24,15 @@ X_seen = rng.normal(size=(12, d)) * np.array([1.0, 1.0, 0.2, 0.05])
 precision = np.eye(d) + 2.0 * X_seen.T @ X_seen
 posterior = WeightPosterior(rng.normal(size=d), precision)
 
-pool = [(i, rng.normal(size=d)) for i in range(8)]
+pool = rng.normal(size=(8, d))  # one candidate per row
 print("pool scores (predictive variance):")
-for i, x in pool:
+for i, x in enumerate(pool):
     print(f"  candidate {i}: {instance_score(x, posterior):.4f}")
 
-winner = select_instance(pool, posterior)
+winner = select_instance(np.arange(len(pool)), pool, posterior)
 print(f"\nselected candidate: {winner}")
 
-x_star = dict(pool)[winner]
+x_star = pool[winner]
 beta = 4.0
 shrink = det_shrinkage(posterior, x_star, beta)
 print(f"\nlabeling it with precision {beta} multiplies the posterior "
@@ -47,6 +47,6 @@ lower, upper = error_contraction_bounds(posterior, x_star, beta)
 print(f"\nexpected estimator error after the label: between {lower:.3f}x "
       f"and {upper:.0f}x the current error")
 
-worst = min(det_shrinkage(posterior, x, beta) for _, x in pool)
+worst = min(det_shrinkage(posterior, x, beta) for x in pool)
 print(f"(best candidate in the pool would reach {worst:.3f}x determinant "
       "shrinkage; selection picks exactly that one)")

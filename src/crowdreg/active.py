@@ -3,8 +3,6 @@ it: the rank-one determinant shrinkage and the estimator-error sandwich."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import InvalidInputError, PoolExhaustedError
@@ -28,21 +26,23 @@ def instance_score(x, weights: WeightPosterior) -> float:
     return weights.quadform(x)
 
 
-def select_instance(pool: Sequence[tuple[int, np.ndarray]],
-                    weights: WeightPosterior) -> int:
-    """Index of the pool entry with the largest score.
+def select_instance(candidates, features, weights: WeightPosterior) -> int:
+    """The candidate row of ``features`` with the largest score.
 
-    ``pool`` holds ``(index, vector)`` pairs; ties go to the lowest index.
+    ``candidates`` is an integer index array into the rows of ``features``;
+    ties go to the lowest index.
     """
-    if len(pool) == 0:
+    candidates = np.asarray(candidates)
+    if candidates.size == 0:
         raise PoolExhaustedError("candidate pool is empty")
-    indices = np.array([idx for idx, _ in pool], dtype=int)
-    vectors = np.array([np.asarray(v, dtype=float) for _, v in pool])
-    if vectors.ndim != 2 or vectors.shape[1] != weights.dim:
-        raise InvalidInputError("pool vectors do not match posterior dimension")
-    scores = weights.quadform(vectors)
-    best = scores == scores.max()
-    return int(indices[best].min())
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != weights.dim:
+        raise InvalidInputError("feature rows do not match posterior dimension")
+    if (candidates.ndim != 1 or candidates.dtype.kind not in "iu"
+            or candidates.min() < 0 or candidates.max() >= features.shape[0]):
+        raise InvalidInputError("candidates must be row indices of features")
+    scores = weights.quadform(features[candidates])
+    return int(candidates[scores == scores.max()].min())
 
 
 def det_shrinkage(weights: WeightPosterior, x, beta: float) -> float:

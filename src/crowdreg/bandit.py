@@ -37,6 +37,11 @@ class BanditState:
     the confidence parameter is fixed at horizon^-2; otherwise the anytime
     policy max(t, 2)^-2 is used.
 
+    ``discarded`` counts the samples that were outside the cutoff in force
+    when they arrived.  It never decreases: a sample that later re-enters the
+    truncated mean as the cutoff grows stays counted, so it can exceed
+    ``pulls - accepted_counts``.
+
     One experiment run owns one state; distinct runs are independent.
     """
 
@@ -142,13 +147,14 @@ def select_annotator(state: BanditState) -> int:
     return int(np.argmax(_ucb_values(state)))
 
 
-def record_outcome(state: BanditState, j: int, residual_sq: float) -> BanditState:
+def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
     """Store one observed squared residual for annotator ``j`` (in place).
 
-    Advances the round counter, re-filters all of ``j``'s stored rewards
-    against the refreshed threshold (so previously rejected samples may
-    re-enter the mean as the cutoff grows), and counts the new sample toward
-    the discard total if it falls outside the current cutoff.
+    Advances the round counter and re-filters all of ``j``'s stored rewards
+    against the refreshed threshold, so previously rejected samples may
+    re-enter the mean as the cutoff grows.  Returns whether the new sample is
+    within that threshold (accepted); if not, it adds one to
+    ``state.discarded``, which a later re-entry does not undo.
     """
     state._check_annotator(j)
     if not (np.isfinite(residual_sq) and residual_sq >= 0):
@@ -161,9 +167,10 @@ def record_outcome(state: BanditState, j: int, residual_sq: float) -> BanditStat
     mean, kept = truncated_mean(xs, threshold)
     state.truncated_means[j] = mean
     state.accepted_counts[j] = kept
-    if residual_sq > threshold:
+    accepted = bool(residual_sq <= threshold)
+    if not accepted:
         state.discarded += 1
-    return state
+    return accepted
 
 
 def initialize_state(state: BanditState, residual_sqs) -> BanditState:
@@ -172,8 +179,9 @@ def initialize_state(state: BanditState, residual_sqs) -> BanditState:
     ``residual_sqs`` holds one sequence per annotator (for example residuals
     of an initial pool labeled by everyone).  All samples are loaded, the
     round counter jumps to the total count, and the truncated means are set in
-    one filtering pass at the resulting threshold.  Samples falling outside
-    that cutoff count as discarded.
+    one filtering pass at the resulting threshold.  The whole batch arrives
+    at that one cutoff, so the samples outside it are exactly the discarded
+    ones in the sense of ``BanditState.discarded``.
     """
     if state.t != 0:
         raise InvalidInputError("state has already been played")

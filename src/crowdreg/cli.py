@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import CrowdError
-from .harness import (ExperimentConfig, emit_records, full_fit,
-                      run_experiment, summarize)
+from .harness import (FORMATS, STRATEGIES, ExperimentConfig, emit_records,
+                      full_fit, run_experiment, summarize)
 
 
 def _build_parser():
@@ -23,14 +23,12 @@ def _build_parser():
     run = sub.add_parser("run", help="run the active-learning protocol")
     run.add_argument("--config", help="JSON config file")
     run.add_argument("--data", help="CSV data file (last column is the target)")
-    run.add_argument("--strategy",
-                     choices=("robust_ucb", "random", "instance_only",
-                              "single_source"))
+    run.add_argument("--strategy", choices=STRATEGIES)
     run.add_argument("--budget", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--reps", type=int)
     run.add_argument("--out", help="record file path")
-    run.add_argument("--format", choices=("csv", "jsonl"))
+    run.add_argument("--format", choices=FORMATS)
 
     fit = sub.add_parser("fit", help="fit on the full pool and report RMSE")
     fit.add_argument("--data", help="CSV data file (last column is the target)")

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, fields
-from pathlib import Path
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -43,7 +44,17 @@ __all__ = [
     "synthetic_linear",
 ]
 
-STRATEGIES = ("robust_ucb", "random", "instance_only", "single_source")
+# Strategy -> (instance rule, annotator rule); the first is the default.
+# Instance rules: "variance" or "uniform" (a uniform random draw).  Annotator
+# rules: "ucb" (robust UCB bandit), "uniform" or "source" (one near-noiseless
+# annotator).
+_RULES = {
+    "robust_ucb": ("variance", "ucb"),
+    "random": ("uniform", "uniform"),
+    "instance_only": ("variance", "uniform"),
+    "single_source": ("variance", "source"),
+}
+STRATEGIES = tuple(_RULES)
 
 # Sub-stream tags so that split, k-means, annotator draws, strategy
 # randomness and label noise never share a generator.
@@ -52,9 +63,79 @@ _SPLIT, _KMEANS, _ANNOT, _STRATEGY, _LABEL, _SGRID = range(6)
 _SINGLE_SOURCE_SD = 0.01
 
 
+def _fmt(value: float) -> str:
+    return f"{value:.9g}"
+
+
+def _csv_lines(records):
+    yield ",".join(f.name for f in fields(RoundRecord)) + "\n"
+    for r in records:
+        yield (f"{r.rep},{r.round},{r.instance},{r.annotator},"
+               f"{_fmt(r.label)},{int(r.accepted)},{_fmt(r.rmse)},"
+               f"{_fmt(r.regret)},{r.discarded},{_fmt(r.payment)}\n")
+
+
+def _jsonl_lines(records):
+    for r in records:
+        # keys in field order; the overrides keep their positions
+        obj = dict(vars(r), label=float(_fmt(r.label)),
+                   accepted=bool(r.accepted), rmse=float(_fmt(r.rmse)),
+                   regret=float(_fmt(r.regret)), payment=float(_fmt(r.payment)))
+        yield json.dumps(obj) + "\n"
+
+
+# Record file format -> line writer; the first entry is the default.
+_WRITERS = {"csv": _csv_lines, "jsonl": _jsonl_lines}
+FORMATS = tuple(_WRITERS)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+# Declared config field type (a string: annotations are postponed) -> test
+# of a value.  Integers reject bool and float; numbers reject bool.
+_TYPE_TESTS = {
+    "int": lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+    "float": _is_real,
+    "float | None": lambda v: v is None or _is_real(v),
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "tuple[float, ...]": lambda v: (isinstance(v, (list, tuple))
+                                    and all(map(_is_real, v))),
+    "tuple[float, float]": lambda v: (_TYPE_TESTS["tuple[float, ...]"](v)
+                                      and len(v) == 2),
+}
+
+# Config key -> (test of a well-typed value given the config, requirement).
+# Fields are tested in declaration order, so num_good meets a checked
+# num_annotators.
+_LIMITS = {
+    "transform": (lambda v, c: v in ("linear", "sigmoid"),
+                  "must be 'linear' or 'sigmoid'"),
+    "s_grid": (lambda v, c: len(v) > 0 and min(v) > 0,
+               "must hold positive values"),
+    "test_fraction": (lambda v, c: 0 < v < 1, "must lie in (0, 1)"),
+    "num_good": (lambda v, c: 0 <= v <= c.num_annotators,
+                 "must lie in [0, num_annotators]"),
+    "strategy": (lambda v, c: v in STRATEGIES, f"must be one of {STRATEGIES}"),
+    "output_format": (lambda v, c: v in FORMATS, f"must be one of {FORMATS}"),
+    "vi_tolerance": (lambda v, c: v > 0, "must be > 0"),
+    **dict.fromkeys(("seed_pool_size", "num_annotators", "repetitions",
+                     "initial_sweeps", "round_sweeps"),
+                    (lambda v, c: v >= 1, "must be >= 1")),
+    **dict.fromkeys(("budget", "base_seed"),
+                    (lambda v, c: v >= 0, "must be >= 0")),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; mirrors the config-file key names exactly."""
+    """Everything a run needs; mirrors the config-file key names exactly.
+
+    Construction checks each field's type and limits and names the first
+    offending key.
+    """
 
     data_path: str | None = None
     transform: str = "linear"
@@ -66,7 +147,7 @@ class ExperimentConfig:
     interval_good: tuple[float, float] = (0.1, 1.0)
     interval_bad: tuple[float, float] = (1.0, 2.0)
     budget: int = 100
-    strategy: str = "robust_ucb"
+    strategy: str = STRATEGIES[0]
     u_override: float | None = None
     sigma_max: float | None = None
     payment_budget: float = 1.0
@@ -75,36 +156,25 @@ class ExperimentConfig:
     repetitions: int = 10
     base_seed: int = 0
     output_path: str | None = None
-    output_format: str = "csv"
+    output_format: str = FORMATS[0]
     target_rmse: float | None = None
     vi_tolerance: float = 1e-6
     initial_sweeps: int = 200
     round_sweeps: int = 50
 
     def __post_init__(self):
-        if not 0 < self.test_fraction < 1:
-            raise InvalidInputError("test_fraction must lie in (0, 1)")
-        if self.budget < 0:
-            raise InvalidInputError("budget must be >= 0")
-        if self.repetitions < 1:
-            raise InvalidInputError("repetitions must be >= 1")
-        if self.seed_pool_size < 1:
-            raise InvalidInputError("seed_pool_size must be >= 1")
-        if self.strategy not in STRATEGIES:
-            raise InvalidInputError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.transform not in ("linear", "sigmoid"):
-            raise InvalidInputError("transform must be 'linear' or 'sigmoid'")
-        if self.output_format not in ("csv", "jsonl"):
-            raise InvalidInputError("output_format must be 'csv' or 'jsonl'")
-        if self.base_seed < 0:
-            raise InvalidInputError("base_seed must be >= 0")
-        if len(self.s_grid) < 1 or any(s <= 0 for s in self.s_grid):
-            raise InvalidInputError("s_grid must hold positive values")
-        object.__setattr__(self, "s_grid", tuple(float(s) for s in self.s_grid))
-        object.__setattr__(self, "interval_good", tuple(self.interval_good))
-        object.__setattr__(self, "interval_bad", tuple(self.interval_bad))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            requirement = None
+            if not _TYPE_TESTS[f.type](value):
+                requirement = f"must be of type {f.type}"
+            elif f.name in _LIMITS and not _LIMITS[f.name][0](value, self):
+                requirement = _LIMITS[f.name][1]
+            if requirement:
+                raise InvalidInputError(
+                    f"config key {f.name!r} {requirement}, got {value!r}")
+            if f.type.startswith("tuple"):
+                object.__setattr__(self, f.name, tuple(map(float, value)))
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -166,48 +236,43 @@ def load_csv(path):
 
     A header row is detected by a non-numeric first row and skipped.  Any
     unparseable or non-finite (``nan``, ``inf``) cell in a data row raises
-    with its 1-based row and column.
+    with its 1-based row and column.  Rows are converted as they are read, so
+    the file's text is never held whole.
     """
-    rows = []
+    values, width, header = array("d"), None, 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        raw = [row for row in reader if row]
-    if not raw:
-        raise DataFormatError(f"{path}: file holds no rows")
-    start = 0
-    try:
-        [float(cell) for cell in raw[0]]
-    except ValueError:
-        start = 1
-    if not raw[start:]:
-        raise DataFormatError(f"{path}: no data rows after the header")
-    width = len(raw[start])
-    if width < 2:
-        raise DataFormatError(
-            f"{path}: need at least 2 columns (features plus target), got {width}"
-        )
-    for r, row in enumerate(raw[start:], start=start + 1):
-        if len(row) != width:
-            raise DataFormatError(
-                f"{path}: row {r} has {len(row)} cells, expected {width}"
-            )
-        parsed = []
-        for c, cell in enumerate(row, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
+        for r, row in enumerate(filter(None, csv.reader(fh)), start=1):
+            if width is not None and len(row) != width:
                 raise DataFormatError(
-                    f"{path}: row {r}, column {c}: cannot parse {cell!r}"
-                ) from None
-        rows.append(parsed)
-    matrix = np.asarray(rows, dtype=float)
+                    f"{path}: row {r} has {len(row)} cells, expected {width}"
+                )
+            try:
+                parsed = [float(cell) for cell in row]
+            except ValueError:
+                if r == 1:  # a non-numeric first row is a header
+                    header = 1
+                    continue
+                for c, cell in enumerate(row, start=1):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataFormatError(f"{path}: row {r}, column {c}: "
+                                              f"cannot parse {cell!r}") from None
+            if width is None:
+                width = len(row)
+                if width < 2:
+                    raise DataFormatError(f"{path}: need at least 2 columns "
+                                          f"(features plus target), got {width}")
+            values.extend(parsed)
+    if width is None:
+        raise DataFormatError(f"{path}: no data rows after the header" if header
+                              else f"{path}: file holds no rows")
+    matrix = np.frombuffer(values).reshape(-1, width)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         r, c = bad[0]
-        raise DataFormatError(
-            f"{path}: row {start + r + 1}, column {c + 1}: non-finite value "
-            f"{raw[start + r][c]!r}"
-        )
+        raise DataFormatError(f"{path}: row {header + r + 1}, column {c + 1}: "
+                              f"non-finite value {float(matrix[r, c])}")
     return matrix
 
 
@@ -220,55 +285,23 @@ def rmse(predicted, truth) -> float:
     return float(np.sqrt(np.mean((p - z) ** 2)))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
-def emit_records(records, path, fmt: str = "csv") -> None:
-    """Write records as CSV (fixed header) or JSON lines.
+def emit_records(records, path, fmt: str = FORMATS[0]) -> None:
+    """Write records as CSV (fixed header) or JSON lines; see ``FORMATS``.
 
     Floating values are rendered with 9 significant digits; field order is
     fixed, so identical records produce identical bytes.
     """
-    if fmt not in ("csv", "jsonl"):
-        raise InvalidInputError("format must be 'csv' or 'jsonl'")
-    path = Path(path)
+    if fmt not in _WRITERS:
+        raise InvalidInputError(f"format must be one of {FORMATS}, got {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            fh.write("rep,round,instance,annotator,label,accepted,rmse,"
-                     "regret,discarded,payment\n")
-            for r in records:
-                fh.write(
-                    f"{r.rep},{r.round},{r.instance},{r.annotator},"
-                    f"{_fmt(r.label)},{int(r.accepted)},{_fmt(r.rmse)},"
-                    f"{_fmt(r.regret)},{r.discarded},{_fmt(r.payment)}\n"
-                )
-        else:
-            for r in records:
-                obj = {
-                    "rep": r.rep,
-                    "round": r.round,
-                    "instance": r.instance,
-                    "annotator": r.annotator,
-                    "label": float(_fmt(r.label)),
-                    "accepted": bool(r.accepted),
-                    "rmse": float(_fmt(r.rmse)),
-                    "regret": float(_fmt(r.regret)),
-                    "discarded": r.discarded,
-                    "payment": float(_fmt(r.payment)),
-                }
-                fh.write(json.dumps(obj) + "\n")
+        fh.writelines(_WRITERS[fmt](records))
 
 
 def summarize(records):
     """Per-repetition (rep, final rmse, final regret, discarded, paid)."""
-    out = []
-    for r in records:
-        if not out or out[-1][0] != r.rep:
-            out.append([r.rep, r.rmse, r.regret, r.discarded, r.payment])
-        else:
-            out[-1] = [r.rep, r.rmse, r.regret, r.discarded, r.payment]
-    return [tuple(row) for row in out]
+    last = {r.rep: r for r in records}
+    return [(r.rep, r.rmse, r.regret, r.discarded, r.payment)
+            for r in last.values()]
 
 
 def synthetic_linear(n: int, d: int, seed, noise_sd: float = 0.0,
@@ -307,41 +340,25 @@ def _label_rng(rep_seed: int, annotator: int, instance: int):
     return np.random.default_rng([rep_seed, _LABEL, annotator, instance])
 
 
-def _pool_labels(rep_seed, profiles, efforts, targets, instance_positions):
-    labels = {}
-    for pos in instance_positions:
-        for j, profile in enumerate(profiles):
-            rng = _label_rng(rep_seed, j, int(pos))
-            labels[(int(pos), j)] = label_value(
-                profile, float(targets[pos]), efforts[j], rng
-            )
-    return labels
-
-
 def _choose_scale(config, rep_seed, pool_features, centers, labels, m):
     """Pick the sigmoid scale from ``s_grid`` by held-out validation.
 
-    With a single candidate there is nothing to choose.  Otherwise 20% of the
-    labeled instances are held out and each candidate is scored by RMSE of the
-    fitted model against the held-out mean crowd label.  ``m`` is the size
-    of the annotator population that gave ``labels``.
+    ``labels`` covers the first k pool rows, each labeled by all ``m``
+    annotators.  With a single candidate there is nothing to choose.
+    Otherwise 20% of those rows are held out and each candidate is scored by
+    RMSE of the fitted model against the held-out mean crowd label.
     """
     if len(config.s_grid) == 1:
         return config.s_grid[0]
-    positions = sorted({i for (i, _) in labels})
-    rng = np.random.default_rng([rep_seed, _SGRID])
-    perm = rng.permutation(len(positions))
-    n_val = max(1, len(positions) // 5)
-    val_pos = {positions[i] for i in perm[:n_val]}
-    train_labels = {k: v for k, v in labels.items() if k[0] not in val_pos}
+    k = len(labels) // m
+    perm = np.random.default_rng([rep_seed, _SGRID]).permutation(k)
+    val_idx = sorted(perm[:max(1, k // 5)])
+    val_set = set(val_idx)
+    train_labels = {key: y for key, y in labels.items() if key[0] not in val_set}
     if not train_labels:
         return config.s_grid[0]
-    val_means = {}
-    for (i, _), y in labels.items():
-        if i in val_pos:
-            val_means.setdefault(i, []).append(y)
-    val_idx = sorted(val_means)
-    val_target = np.array([np.mean(val_means[i]) for i in val_idx])
+    val_target = np.array([np.mean([labels[(i, j)] for j in range(m)])
+                           for i in val_idx])
     best_s, best_err = None, np.inf
     for s in config.s_grid:
         spec = TransformSpec(centers, s, "sigmoid")
@@ -357,106 +374,101 @@ def _choose_scale(config, rep_seed, pool_features, centers, labels, m):
     return best_s
 
 
-def _prepare_split(config, data, rep_seed):
-    """Seeded split plus normalization; transform comes later (it may need
-    labels when the scale is grid-searched)."""
+def _setup(config, data, rep_seed, k):
+    """Split, normalize, draw the population, label the first ``k`` pool
+    rows (all of them when ``k`` is None) with every annotator, transform the
+    features and fit.
+
+    Returns ``(test_phi, test_z, weights, precisions, dataset, pool_idx,
+    pool_z, profiles, efforts)``; ``pool_idx`` maps pool positions to data
+    rows.  The labels come first: a grid-searched sigmoid scale needs them.
+    """
     X, z = data
     n = X.shape[0]
-    rng = np.random.default_rng([rep_seed, _SPLIT])
-    perm = rng.permutation(n)
+    perm = np.random.default_rng([rep_seed, _SPLIT]).permutation(n)
     n_test = int(round(n * config.test_fraction))
     n_test = min(max(n_test, 1), n - 1)
     test_idx, pool_idx = perm[:n_test], perm[n_test:]
-    pool_raw, pool_z = X[pool_idx], z[pool_idx]
-    test_raw, test_z = X[test_idx], z[test_idx]
-    pool_norm, params = normalize(pool_raw)
-    test_norm = apply_normalization(test_raw, params)
-    return pool_idx, pool_norm, pool_z, test_norm, test_z
+    pool_norm, params = normalize(X[pool_idx])
+    test_norm = apply_normalization(X[test_idx], params)
+    pool_z, test_z = z[pool_idx], z[test_idx]
 
+    if _RULES[config.strategy][1] == "source":
+        profiles = [AnnotatorProfile(id=0,
+                                     best_precision=1.0 / _SINGLE_SOURCE_SD**2)]
+    else:
+        profiles = make_annotators(
+            config.num_annotators, config.num_good,
+            config.interval_good, config.interval_bad,
+            seed=[rep_seed, _ANNOT],
+        )
+    m = len(profiles)
+    efforts = np.array([p.best_precision for p in profiles])
+    labels = {}
+    for i in range(pool_idx.size)[:k]:
+        for j, profile in enumerate(profiles):
+            labels[(i, j)] = label_value(profile, float(pool_z[i]), efforts[j],
+                                         _label_rng(rep_seed, j, i))
 
-def _transform_features(config, rep_seed, pool_norm, test_norm, labels, m):
-    if config.transform == "linear":
-        return pool_norm, test_norm
-    d = pool_norm.shape[1]
-    centers = fit_centers(pool_norm, d, [rep_seed, _KMEANS])
-    s = _choose_scale(config, rep_seed, pool_norm, centers, labels, m)
-    spec = TransformSpec(centers, s, "sigmoid")
-    return transform(pool_norm, spec), transform(test_norm, spec)
-
-
-def _make_profiles(config, rep_seed):
-    if config.strategy == "single_source":
-        return [AnnotatorProfile(id=0,
-                                 best_precision=1.0 / _SINGLE_SOURCE_SD**2)]
-    return make_annotators(
-        config.num_annotators, config.num_good,
-        config.interval_good, config.interval_bad,
-        seed=[rep_seed, _ANNOT],
+    pool_phi, test_phi = pool_norm, test_norm
+    if config.transform == "sigmoid":
+        centers = fit_centers(pool_norm, pool_norm.shape[1],
+                              [rep_seed, _KMEANS])
+        s = _choose_scale(config, rep_seed, pool_norm, centers, labels, m)
+        spec = TransformSpec(centers, s, "sigmoid")
+        pool_phi, test_phi = transform(pool_norm, spec), transform(test_norm, spec)
+    dataset = CrowdDataset(pool_phi, labels, m)
+    weights, precisions, _ = fit_variational(
+        dataset, default_weight_prior(dataset.d), default_precision_priors(m),
+        tolerance=config.vi_tolerance, max_sweeps=config.initial_sweeps,
     )
+    return (test_phi, test_z, weights, precisions, dataset, pool_idx, pool_z,
+            profiles, efforts)
 
 
 def _run_repetition(config, data, rep):
     rep_seed = config.base_seed + rep
-    pool_idx, pool_norm, pool_z, test_norm, test_z = _prepare_split(
-        config, data, rep_seed
-    )
-    profiles = _make_profiles(config, rep_seed)
+    instance_rule, annotator_rule = _RULES[config.strategy]
+    (test_phi, test_z, weights, precisions, dataset, pool_idx, pool_z, profiles,
+     efforts) = _setup(config, data, rep_seed, config.seed_pool_size)
+    pool_phi = dataset.instances
     m = len(profiles)
-    efforts = np.array([p.best_precision for p in profiles])
+    seed_count = min(config.seed_pool_size, dataset.n)
+    weight_prior = default_weight_prior(dataset.d)
+    precision_priors = default_precision_priors(m)
     ledger = bd.RegretLedger.from_precisions(efforts)
     scheme = config.scheme()
     strategy_rng = np.random.default_rng([rep_seed, _STRATEGY])
 
-    n_pool = pool_norm.shape[0]
-    seed_count = min(config.seed_pool_size, n_pool)
-    seed_positions = list(range(seed_count))
-    labels = _pool_labels(rep_seed, profiles, efforts, pool_z, seed_positions)
-
-    pool_phi, test_phi = _transform_features(
-        config, rep_seed, pool_norm, test_norm, labels, m
-    )
-    d = pool_phi.shape[1]
-    weight_prior = default_weight_prior(d)
-    precision_priors = default_precision_priors(m)
-
-    dataset = CrowdDataset(pool_phi, labels, m)
-    weights, precisions, _ = fit_variational(
-        dataset, weight_prior, precision_priors,
-        tolerance=config.vi_tolerance, max_sweeps=config.initial_sweeps,
-    )
-
-    use_bandit = config.strategy == "robust_ucb"
     state = None
-    if use_bandit:
+    if annotator_rule == "ucb":
         horizon = max(seed_count * m + config.budget, 2)
         state = bd.BanditState(m, config.moment_bound(), horizon=horizon)
-        seed_residuals = [
-            [(labels[(i, j)] - weights.mean @ pool_phi[i]) ** 2
-             for i in seed_positions]
+        bd.initialize_state(state, [
+            [(dataset.labels[(i, j)] - weights.mean @ pool_phi[i]) ** 2
+             for i in range(seed_count)]
             for j in range(m)
-        ]
-        bd.initialize_state(state, seed_residuals)
+        ])
 
     paid = seed_count * sum(settle(precisions[j], scheme) for j in range(m))
-    discarded = state.discarded if use_bandit else 0
+    discarded = 0 if state is None else state.discarded
     records = [RoundRecord(
         rep, 0, -1, -1, 0.0, True,
         rmse(test_phi @ weights.mean, test_z), 0.0, discarded, paid,
     )]
 
-    unlabeled = list(range(seed_count, n_pool))
+    unlabeled = np.arange(seed_count, dataset.n)
     for t in range(1, config.budget + 1):
-        if not unlabeled:
+        if unlabeled.size == 0:
             break  # pool exhausted before the budget; stop early
-        if config.strategy == "random":
-            pos = unlabeled[int(strategy_rng.integers(len(unlabeled)))]
+        # instance first, then annotator: both may draw from strategy_rng
+        if instance_rule == "uniform":
+            pos = int(unlabeled[strategy_rng.integers(unlabeled.size)])
         else:
-            pos = select_instance(
-                [(p, pool_phi[p]) for p in unlabeled], weights
-            )
-        if config.strategy == "robust_ucb":
+            pos = select_instance(unlabeled, pool_phi, weights)
+        if annotator_rule == "ucb":
             j = bd.select_annotator(state)
-        elif config.strategy == "single_source":
+        elif annotator_rule == "source":
             j = 0
         else:
             j = int(strategy_rng.integers(m))
@@ -469,19 +481,19 @@ def _run_repetition(config, data, rep):
             tolerance=config.vi_tolerance, max_sweeps=config.round_sweeps,
             warm_start=(weights, precisions),
         )
-        residual_sq = float((y - weights.mean @ pool_phi[pos]) ** 2)
         accepted = True
-        if use_bandit:
-            bd.record_outcome(state, j, residual_sq)
-            accepted = residual_sq <= bd.truncation_threshold(state)
+        if state is not None:
+            residual_sq = float((y - weights.mean @ pool_phi[pos]) ** 2)
+            accepted = bd.record_outcome(state, j, residual_sq)
+            discarded = state.discarded
         ledger.record_pull(j)
         paid += settle(precisions[j], scheme)
-        unlabeled.remove(pos)
+        unlabeled = unlabeled[unlabeled != pos]
 
         test_rmse = rmse(test_phi @ weights.mean, test_z)
         records.append(RoundRecord(
             rep, t, int(pool_idx[pos]), j, float(y), accepted, test_rmse,
-            bd.regret_seq(ledger), state.discarded if use_bandit else 0, paid,
+            bd.regret_seq(ledger), discarded, paid,
         ))
         if config.target_rmse is not None and test_rmse <= config.target_rmse:
             break
@@ -519,23 +531,7 @@ def full_fit(config: ExperimentConfig):
     data = _load_data(config)
     scores = []
     for rep in range(config.repetitions):
-        rep_seed = config.base_seed + rep
-        _, pool_norm, pool_z, test_norm, test_z = _prepare_split(
-            config, data, rep_seed
-        )
-        profiles = _make_profiles(config, rep_seed)
-        m = len(profiles)
-        efforts = np.array([p.best_precision for p in profiles])
-        labels = _pool_labels(rep_seed, profiles, efforts, pool_z,
-                              range(pool_norm.shape[0]))
-        pool_phi, test_phi = _transform_features(
-            config, rep_seed, pool_norm, test_norm, labels, m
-        )
-        dataset = CrowdDataset(pool_phi, labels, m)
-        weights, _, _ = fit_variational(
-            dataset, default_weight_prior(pool_phi.shape[1]),
-            default_precision_priors(m),
-            tolerance=config.vi_tolerance, max_sweeps=config.initial_sweeps,
-        )
+        test_phi, test_z, weights, *_ = _setup(config, data,
+                                               config.base_seed + rep, None)
         scores.append(rmse(test_phi @ weights.mean, test_z))
     return scores

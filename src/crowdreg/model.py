@@ -114,15 +114,6 @@ class CrowdDataset:
     def total_labels(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def indicator(self) -> np.ndarray:
-        """Binary (n, m) matrix: entry (i, j) is 1 iff annotator j labeled i."""
-        ind = np.zeros((self.n, self.num_annotators), dtype=np.int8)
-        for (i, j) in self.labels:
-            ind[i, j] = 1
-        ind.setflags(write=False)
-        return ind
-
     @property
     def label_counts(self) -> np.ndarray:
         """Number of labels provided by each annotator (read-only)."""
@@ -144,15 +135,6 @@ class CrowdDataset:
             yv = np.fromiter((y for _, y in pairs), dtype=float, count=len(pairs))
             _accumulate(stats, j, self.instances[idx], yv)
         return stats
-
-    def annotator_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Instances labeled by annotator ``j`` and the matching labels."""
-        if not 0 <= j < self.num_annotators:
-            raise InvalidInputError(f"annotator index {j} out of range")
-        pairs = sorted((i, y) for (i, jj), y in self.labels.items() if jj == j)
-        idx = np.array([i for i, _ in pairs], dtype=int)
-        yv = np.array([y for _, y in pairs], dtype=float)
-        return self.instances[idx], yv
 
     def with_label(self, i: int, j: int, y: float) -> "CrowdDataset":
         """A new dataset with one extra label; the original is untouched."""

@@ -39,33 +39,41 @@ class TestInstanceScore:
 
 class TestSelectInstance:
     def test_larger_norm_wins_under_identity(self):
-        pool = [(0, np.array([1.0, 0.0])), (1, np.array([2.0, 0.0]))]
-        assert select_instance(pool, default_weight_prior(2)) == 1
+        features = np.array([[1.0, 0.0], [2.0, 0.0]])
+        assert select_instance([0, 1], features, default_weight_prior(2)) == 1
 
     def test_tie_breaks_to_lower_index(self):
-        v = np.array([1.0, 1.0])
-        assert select_instance([(7, v), (3, v)], default_weight_prior(2)) == 3
+        features = np.zeros((8, 2))
+        features[[3, 7]] = [1.0, 1.0]
+        assert select_instance([7, 3], features, default_weight_prior(2)) == 3
 
     def test_diagonal_hand_case(self):
         post = WeightPosterior(np.zeros(2), np.diag([1.0, 4.0]))
-        pool = [(0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))]
-        assert select_instance(pool, post) == 0  # scores 1 vs 0.25
+        features = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert select_instance([0, 1], features, post) == 0  # scores 1 vs 0.25
 
     def test_singleton_pool(self):
-        pool = [(5, np.array([0.3, -0.4]))]
-        assert select_instance(pool, default_weight_prior(2)) == 5
+        features = np.zeros((6, 2))
+        features[5] = [0.3, -0.4]
+        assert select_instance([5], features, default_weight_prior(2)) == 5
 
     def test_empty_pool(self):
         with pytest.raises(PoolExhaustedError):
-            select_instance([], default_weight_prior(2))
+            select_instance([], np.ones((3, 2)), default_weight_prior(2))
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(6)
         post = random_posterior(rng, 3)
-        vecs = [rng.normal(size=3) for _ in range(10)]
-        pool = list(enumerate(vecs))
-        scaled = [(i, 7.5 * v) for i, v in pool]
-        assert select_instance(pool, post) == select_instance(scaled, post)
+        features = rng.normal(size=(10, 3))
+        candidates = np.arange(10)
+        assert (select_instance(candidates, features, post)
+                == select_instance(candidates, 7.5 * features, post))
+
+    def test_rejects_candidates_outside_features(self):
+        features = np.ones((3, 2))
+        for bad in ([3], [-1], [[0, 1]], [1.0]):
+            with pytest.raises(InvalidInputError):
+                select_instance(bad, features, default_weight_prior(2))
 
 
 class TestDetShrinkage:

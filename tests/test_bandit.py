@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdreg import (
     BanditState,
@@ -153,6 +155,15 @@ class TestRecordOutcome:
             assert state.discarded >= last
             last = state.discarded
 
+    def test_return_is_the_acceptance_at_the_new_threshold(self):
+        rng = np.random.default_rng(8)
+        state = BanditState(3, 1.0, horizon=100)
+        for _ in range(100):
+            j = select_annotator(state)
+            residual_sq = float(rng.exponential(2.0))
+            accepted = record_outcome(state, j, residual_sq)
+            assert accepted is (residual_sq <= truncation_threshold(state))
+
     def test_validates_input(self):
         state = BanditState(1, 1.0)
         with pytest.raises(InvalidInputError):
@@ -181,6 +192,37 @@ class TestInitializeState:
         record_outcome(state, 0, 0.1)
         with pytest.raises(InvalidInputError):
             initialize_state(state, [[0.2]])
+
+
+residuals = st.floats(0.0, 50.0)
+
+
+class TestDiscardedCount:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), u=st.floats(0.1, 10.0),
+           horizon=st.none() | st.integers(2, 500), data=st.data())
+    def test_counts_arrivals_outside_the_cutoff(self, m, u, horizon, data):
+        state = BanditState(m, u, horizon=horizon)
+        initialize_state(state, data.draw(
+            st.lists(st.lists(residuals, max_size=4), min_size=m, max_size=m)))
+        initial = state.discarded
+        rejected = 0
+        pulls = data.draw(st.lists(st.tuples(st.integers(0, m - 1), residuals),
+                                   max_size=40))
+        for j, residual_sq in pulls:
+            before = state.discarded
+            rejected += not record_outcome(state, j, residual_sq)
+            assert state.discarded >= before
+            assert state.discarded == initial + rejected
+
+    def test_can_exceed_currently_excluded_samples(self):
+        # anytime thresholds 0.8493 then 1.2011: the magnitude-1 sample is
+        # discarded on arrival and re-enters the mean on the next pull
+        state = BanditState(1, 1.0)
+        assert record_outcome(state, 0, 1.0) is False
+        assert record_outcome(state, 0, 0.5) is True
+        assert state.pulls[0] - state.accepted_counts[0] == 0
+        assert state.discarded == 1
 
 
 class TestRegretAccounting:

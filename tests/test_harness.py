@@ -271,6 +271,27 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(repetitions=0)
 
+    @pytest.mark.parametrize("values,key", [
+        ({"budget": "10"}, "budget"),
+        ({"budget": 2.5}, "budget"),
+        ({"budget": True}, "budget"),
+        ({"s_grid": 2.0}, "s_grid"),
+        ({"s_grid": [1.0, "2"]}, "s_grid"),
+        ({"interval_good": [0.1]}, "interval_good"),
+        ({"vi_tolerance": "1e-6"}, "vi_tolerance"),
+        ({"data_path": 3}, "data_path"),
+        ({"num_annotators": 0}, "num_annotators"),
+        ({"num_good": 60}, "num_good"),
+        ({"num_good": -1}, "num_good"),
+        ({"initial_sweeps": 0}, "initial_sweeps"),
+        ({"round_sweeps": 0}, "round_sweeps"),
+        ({"vi_tolerance": 0}, "vi_tolerance"),
+        ({"output_format": "xml"}, "output_format"),
+    ])
+    def test_from_dict_names_the_bad_key(self, values, key):
+        with pytest.raises(InvalidInputError, match=f"config key '{key}'"):
+            ExperimentConfig.from_dict(values)
+
     def test_default_moment_bound_from_bad_interval(self):
         cfg = ExperimentConfig()
         assert cfg.moment_bound() == pytest.approx(3.0 * 2.0**4)
@@ -326,6 +347,14 @@ class TestCli:
         proc = self.run_cli("run", "--data", "/nonexistent/file.csv")
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+    def test_mistyped_config_value_fails_cleanly(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"budget": "10"}))
+        proc = self.run_cli("run", "--config", str(config))
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_config_file_with_overrides(self, tmp_path):
         config = tmp_path / "config.json"

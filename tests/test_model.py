@@ -22,20 +22,11 @@ def one_label_dataset():
 
 
 class TestCrowdDataset:
-    def test_indicator_matches_labels(self):
+    def test_label_counts_match_labels(self):
         X = np.arange(6.0).reshape(3, 2)
         ds = CrowdDataset(X, {(0, 1): 1.0, (2, 0): -1.0}, 2)
-        expected = np.array([[0, 1], [0, 0], [1, 0]])
-        assert np.array_equal(ds.indicator, expected)
         assert np.array_equal(ds.label_counts, [1, 1])
-        assert ds.label_counts.sum() == ds.indicator.sum() == ds.total_labels
-
-    def test_annotator_rows(self):
-        X = np.arange(6.0).reshape(3, 2)
-        ds = CrowdDataset(X, {(2, 0): 5.0, (0, 0): 1.0}, 1)
-        rows, ys = ds.annotator_rows(0)
-        assert np.array_equal(rows, X[[0, 2]])
-        assert np.array_equal(ys, [1.0, 5.0])
+        assert ds.label_counts.sum() == ds.total_labels == 2
 
     def test_with_label_leaves_original_untouched(self):
         ds = CrowdDataset(np.ones((2, 2)), {(0, 0): 2.0}, 2)
