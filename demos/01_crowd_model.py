@@ -45,10 +45,9 @@ print("  fitted ", weights.mean.round(3))
 print("  error  ", float(np.linalg.norm(weights.mean - w_true)).__round__(4))
 
 print("\nestimated noise sd (1/sqrt of expected precision) vs truth:")
-for j in range(m):
-    est = 1.0 / np.sqrt(expected_precision(precisions[j]))
-    n_j = dataset.label_counts[j]
-    print(f"  annotator {j}: est {est:5.2f}  true {noise_sd[j]:5.2f}  "
+est_sd = 1.0 / np.sqrt(expected_precision(precisions))
+for j, n_j in enumerate(dataset.label_counts):
+    print(f"  annotator {j}: est {est_sd[j]:5.2f}  true {noise_sd[j]:5.2f}  "
           f"({n_j} labels)")
 
 x_new = rng.normal(size=d)

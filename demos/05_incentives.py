@@ -58,7 +58,7 @@ for _ in range(200):
 print(f"\naudited {audited} random schemes: every participant profits and "
       "works above the floor")
 
-# the learner settles per label on its posterior-mean precision estimate
-posterior = PrecisionPosterior(shape=25.0, rate=10.0)  # estimate: 2.5
+# the learner settles per label on its posterior-mean precision estimates
+posterior = PrecisionPosterior(shape=[25.0], rate=[10.0])  # estimate: 2.5
 print(f"\nper-label settlement at estimated precision 2.5: "
-      f"{settle(posterior, scheme):.2f}")
+      f"{settle(posterior, scheme)[0]:.2f}")

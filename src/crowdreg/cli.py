@@ -38,24 +38,18 @@ def _build_parser():
     return parser
 
 
+# CLI flag -> the ExperimentConfig field it overrides
+_OVERRIDES = {"data": "data_path", "strategy": "strategy", "budget": "budget",
+              "seed": "base_seed", "reps": "repetitions", "out": "output_path",
+              "format": "output_format"}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     config = (ExperimentConfig.from_file(args.config)
               if args.config else ExperimentConfig())
-    overrides = {}
-    if args.data is not None:
-        overrides["data_path"] = args.data
-    if getattr(args, "strategy", None) is not None:
-        overrides["strategy"] = args.strategy
-    if getattr(args, "budget", None) is not None:
-        overrides["budget"] = args.budget
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.reps is not None:
-        overrides["repetitions"] = args.reps
-    if getattr(args, "out", None) is not None:
-        overrides["output_path"] = args.out
-    if getattr(args, "format", None) is not None:
-        overrides["output_format"] = args.format
+    # a flag the subcommand lacks reads as None, like one left unset
+    overrides = {key: getattr(args, flag) for flag, key in _OVERRIDES.items()
+                 if getattr(args, flag, None) is not None}
     return replace(config, **overrides) if overrides else config
 
 

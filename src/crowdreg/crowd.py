@@ -61,7 +61,7 @@ class CostFunction:
 
     def __call__(self, beta):
         b = np.asarray(beta, dtype=float)
-        if np.any(b < 0):
+        if not np.all(b >= 0):
             raise InvalidInputError("effort must be >= 0")
         if self.kind == "linear":
             out = self.params[0] * b

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from array import array
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -236,12 +237,14 @@ def load_csv(path):
 
     A header row is detected by a non-numeric first row and skipped.  Any
     unparseable or non-finite (``nan``, ``inf``) cell in a data row raises
-    with its 1-based row and column.  Rows are converted as they are read, so
-    the file's text is never held whole.
+    with its 1-based line (blank lines count) and column.  Rows are converted
+    as they are read, so the file's text is never held whole.
     """
-    values, width, header = array("d"), None, 0
+    values, width, header = array("d"), None, False
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for r, row in enumerate(filter(None, csv.reader(fh)), start=1):
+        reader = csv.reader(fh)
+        for row in filter(None, reader):
+            r = reader.line_num
             if width is not None and len(row) != width:
                 raise DataFormatError(
                     f"{path}: row {r} has {len(row)} cells, expected {width}"
@@ -249,8 +252,8 @@ def load_csv(path):
             try:
                 parsed = [float(cell) for cell in row]
             except ValueError:
-                if r == 1:  # a non-numeric first row is a header
-                    header = 1
+                if width is None and not header:  # a non-numeric first row
+                    header = True
                     continue
                 for c, cell in enumerate(row, start=1):
                     try:
@@ -263,17 +266,16 @@ def load_csv(path):
                 if width < 2:
                     raise DataFormatError(f"{path}: need at least 2 columns "
                                           f"(features plus target), got {width}")
+            if not all(map(math.isfinite, parsed)):
+                c = next(c for c, v in enumerate(parsed, start=1)
+                         if not math.isfinite(v))
+                raise DataFormatError(f"{path}: row {r}, column {c}: "
+                                      f"non-finite value {parsed[c - 1]}")
             values.extend(parsed)
     if width is None:
         raise DataFormatError(f"{path}: no data rows after the header" if header
                               else f"{path}: file holds no rows")
-    matrix = np.frombuffer(values).reshape(-1, width)
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        r, c = bad[0]
-        raise DataFormatError(f"{path}: row {header + r + 1}, column {c + 1}: "
-                              f"non-finite value {float(matrix[r, c])}")
-    return matrix
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def rmse(predicted, truth) -> float:
@@ -450,7 +452,7 @@ def _run_repetition(config, data, rep):
             for j in range(m)
         ])
 
-    paid = seed_count * sum(settle(precisions[j], scheme) for j in range(m))
+    paid = seed_count * sum(settle(precisions, scheme).tolist())
     discarded = 0 if state is None else state.discarded
     records = [RoundRecord(
         rep, 0, -1, -1, 0.0, True,
@@ -487,7 +489,7 @@ def _run_repetition(config, data, rep):
             accepted = bd.record_outcome(state, j, residual_sq)
             discarded = state.discarded
         ledger.record_pull(j)
-        paid += settle(precisions[j], scheme)
+        paid += float(settle(precisions, scheme)[j])
         unlabeled = unlabeled[unlabeled != pos]
 
         test_rmse = rmse(test_phi @ weights.mean, test_z)

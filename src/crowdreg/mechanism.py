@@ -34,10 +34,11 @@ class PaymentScheme:
 def payment(beta_hat, scheme: PaymentScheme):
     """Clamped linear payment; nondecreasing, bounded in [0, budget]."""
     b = np.asarray(beta_hat, dtype=float)
-    if np.any(b < 0):
+    if not np.all(b >= 0):
         raise InvalidInputError("estimated precision must be >= 0")
-    frac = (b - scheme.beta_lower) / (scheme.beta_upper - scheme.beta_lower)
-    out = scheme.budget * np.clip(frac, 0.0, 1.0)
+    # clamp before dividing: a huge estimate over a narrow band cannot overflow
+    lo, hi = scheme.beta_lower, scheme.beta_upper
+    out = scheme.budget * ((np.clip(b, lo, hi) - lo) / (hi - lo))
     return float(out) if np.isscalar(beta_hat) else out
 
 
@@ -46,8 +47,9 @@ def utility(beta, cost, scheme: PaymentScheme):
     return payment(beta, scheme) - cost(beta)
 
 
-def settle(posterior: PrecisionPosterior, scheme: PaymentScheme) -> float:
-    """Per-example payment owed given the learner's precision estimate.
+def settle(posterior: PrecisionPosterior, scheme: PaymentScheme) -> np.ndarray:
+    """Per-example payment owed to each annotator given the learner's
+    precision estimates.
 
     The learner pays on the posterior-mean precision; estimation noise can
     make this differ from the annotator's true effort, so experiment records

@@ -217,20 +217,24 @@ class WeightPosterior:
         raise InvalidInputError("quadform expects a vector or a matrix of rows")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecisionPosterior:
-    """Gamma factor over one annotator precision: ``Gamma(shape, rate)``."""
+    """Gamma factors over the annotator precisions, ``q(beta_j) =
+    Gamma(shape[j], rate[j])``: two equally long read-only vectors, validated
+    once on construction."""
 
-    shape: float
-    rate: float
+    shape: np.ndarray
+    rate: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.shape) and self.shape > 0):
-            raise InvalidInputError(f"shape must be positive, got {self.shape}")
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise InvalidInputError(f"rate must be positive, got {self.rate}")
-        object.__setattr__(self, "shape", float(self.shape))
-        object.__setattr__(self, "rate", float(self.rate))
+        shape, rate = _frozen_array(self.shape), _frozen_array(self.rate)
+        if not (shape.ndim == 1 and rate.shape == shape.shape and np.all(
+                (0 < shape) & (shape < np.inf) & (0 < rate) & (rate < np.inf))):
+            raise InvalidInputError(
+                f"shape and rate must be equally long vectors of finite "
+                f"values > 0, got {shape} and {rate}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rate", rate)
 
 
 @dataclass(frozen=True)
@@ -247,13 +251,13 @@ def default_weight_prior(d: int) -> WeightPosterior:
     return WeightPosterior(np.zeros(d), np.eye(d))
 
 
-def default_precision_priors(m: int) -> list[PrecisionPosterior]:
-    """Gamma(1, 1) for every annotator."""
-    return [PrecisionPosterior(1.0, 1.0) for _ in range(m)]
+def default_precision_priors(m: int) -> PrecisionPosterior:
+    """Gamma(1, 1) for every one of ``m`` annotators."""
+    return PrecisionPosterior(np.ones(m), np.ones(m))
 
 
-def expected_precision(posterior: PrecisionPosterior) -> float:
-    """Posterior mean of an annotator precision: shape / rate."""
+def expected_precision(posterior: PrecisionPosterior) -> np.ndarray:
+    """Posterior mean of every annotator precision: shape / rate."""
     return posterior.shape / posterior.rate
 
 
@@ -328,37 +332,34 @@ def vi_update_precision(
     dataset: CrowdDataset,
     weights: WeightPosterior,
     prior: PrecisionPosterior,
-    j: int,
     paper_literal_gamma_update: bool = False,
 ) -> PrecisionPosterior:
-    """Gamma-factor update for annotator ``j`` given the weight posterior.
+    """Gamma-factor update for every annotator given the weight posterior.
 
-    Shape grows by half the annotator's label count; the rate adds half the
-    expected squared residual of those labels under ``q(w)``.  An annotator
-    with no labels keeps the prior exactly.
+    Each shape grows by half the annotator's label count; each rate adds half
+    the expected squared residual of those labels under ``q(w)``.  An
+    annotator with no labels keeps its prior values exactly.
     """
-    if not 0 <= j < dataset.num_annotators:
-        raise InvalidInputError(f"annotator index {j} out of range")
     if dataset.d != weights.dim:
         raise InvalidInputError("dataset and weight posterior dimensions differ")
-    count = dataset.label_counts[j]
-    if count == 0:
-        return prior
-    rate, = _rate_step(tuple(a[j:j + 1] for a in dataset._suffstats),
-                       weights.mean, weights.covariance,
-                       np.array([prior.rate]), paper_literal_gamma_update)
-    return PrecisionPosterior(prior.shape + count / 2.0, rate)
+    if prior.shape.size != dataset.num_annotators:
+        raise InvalidInputError(
+            f"need {dataset.num_annotators} precision factors, got "
+            f"{prior.shape.size}")
+    rates = _rate_step(dataset._suffstats, weights.mean, weights.covariance,
+                       prior.rate, paper_literal_gamma_update)
+    return PrecisionPosterior(prior.shape + dataset.label_counts / 2.0, rates)
 
 
 def fit_variational(
     dataset: CrowdDataset,
     weight_prior: WeightPosterior,
-    precision_priors: Sequence[PrecisionPosterior],
+    precision_priors: PrecisionPosterior,
     tolerance: float = 1e-6,
     max_sweeps: int = 200,
-    warm_start: tuple[WeightPosterior, Sequence[PrecisionPosterior]] | None = None,
+    warm_start: tuple[WeightPosterior, PrecisionPosterior] | None = None,
     paper_literal_gamma_update: bool = False,
-) -> tuple[WeightPosterior, list[PrecisionPosterior], FitReport]:
+) -> tuple[WeightPosterior, PrecisionPosterior, FitReport]:
     """Alternate the weight and precision updates until they stop moving.
 
     Convergence is declared when the largest absolute change across the weight
@@ -379,23 +380,21 @@ def fit_variational(
     start, start_precisions = warm_start or (weight_prior, precision_priors)
     for weights, precisions in ((weight_prior, precision_priors),
                                 (start, start_precisions)):
-        if weights.dim != dataset.d or len(precisions) != m:
+        if weights.dim != dataset.d or precisions.shape.size != m:
             raise InvalidInputError(
                 f"need dimension {dataset.d} and {m} precision factors, got "
-                f"{weights.dim} and {len(precisions)}")
+                f"{weights.dim} and {precisions.shape.size}")
 
     stats = dataset._suffstats
     prior_shift = weight_prior.precision @ weight_prior.mean
-    prior_shapes, prior_rates = np.array(
-        [(p.shape, p.rate) for p in precision_priors]).T
-    post_shapes = prior_shapes + dataset.label_counts / 2.0
+    post_shapes = precision_priors.shape + dataset.label_counts / 2.0
     mean, prec = start.mean, start.precision
-    shapes, rates = np.array([(p.shape, p.rate) for p in start_precisions]).T
+    shapes, rates = start_precisions.shape, start_precisions.rate
 
     for sweeps in range(1, max_sweeps + 1):
         new_mean, new_prec, cov = _weight_step(
             stats, shapes / rates, weight_prior, prior_shift)
-        new_rates = _rate_step(stats, new_mean, cov, prior_rates,
+        new_rates = _rate_step(stats, new_mean, cov, precision_priors.rate,
                                paper_literal_gamma_update)
         delta = float(max(
             np.abs(new_mean - mean).max(), np.abs(new_prec - prec).max(),
@@ -405,8 +404,8 @@ def fit_variational(
             break
 
     weights = WeightPosterior(mean, prec) if dataset.total_labels else weight_prior
-    precisions = [PrecisionPosterior(s, r) for s, r in zip(shapes, rates)]
-    return weights, precisions, FitReport(sweeps, delta < tolerance, delta)
+    return (weights, PrecisionPosterior(shapes, rates),
+            FitReport(sweeps, delta < tolerance, delta))
 
 
 def predictive(x: np.ndarray, weights: WeightPosterior) -> tuple[float, float]:

@@ -75,7 +75,7 @@ def test_criterion_02_conjugacy_oracle():
     w = rng.normal(size=d)
     y = X @ w + rng.normal(0, 1 / np.sqrt(beta), n)
     ds = CrowdDataset(X, {(i, 0): float(y[i]) for i in range(n)}, 1)
-    pinned = [PrecisionPosterior(1e12 * beta, 1e12)]
+    pinned = PrecisionPosterior([1e12 * beta], [1e12])
     weights, _, fit = fit_variational(ds, default_weight_prior(d), pinned)
     lam = np.eye(d) + beta * X.T @ X
     mu = np.linalg.solve(lam, beta * X.T @ y)

@@ -97,6 +97,11 @@ class TestCostFunction:
         with pytest.raises(InvalidInputError):
             CostFunction("quadratic", (-1.0,))
 
+    @pytest.mark.parametrize("effort", [-0.5, np.nan, [1.0, np.nan]])
+    def test_negative_or_nan_effort_rejected(self, effort):
+        with pytest.raises(InvalidInputError):
+            CostFunction("linear", (1.0,))(effort)
+
 
 class TestOptimalEffort:
     scheme = PaymentScheme(10.0, 1.0, 3.0)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from crowdreg import (
 )
 from crowdreg import harness
 from crowdreg.harness import RoundRecord
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestLoadCsv:
@@ -41,6 +45,12 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=r"row 2, column 2"):
             load_csv(path)
 
+    def test_bad_cell_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c\n1,2,3\n\n\n4,x,6\n")
+        with pytest.raises(DataFormatError, match=r"row 5, column 2: cannot"):
+            load_csv(path)
+
     def test_too_few_columns(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("1\n2\n")
@@ -50,6 +60,7 @@ class TestLoadCsv:
     @pytest.mark.parametrize("text,where", [
         ("1,2,3\n4,nan,6\n7,8,9\n1,5,2\n", "row 2, column 2"),
         ("x,z,y\n1,2,3\n4,5,6\ninf,8,9\n", "row 4, column 1"),
+        ("1,2,3\n\n\n4,nan,6\n", "row 4, column 2"),  # blank lines count
     ])
     def test_non_finite_cell_is_located(self, tmp_path, text, where):
         # a NaN would otherwise reach normalize and zero its whole column
@@ -228,7 +239,7 @@ class TestRunExperiment:
         fit = harness.fit_variational
 
         def spy(dataset, weight_prior, precision_priors, **kwargs):
-            seen.append((dataset.num_annotators, len(precision_priors)))
+            seen.append((dataset.num_annotators, precision_priors.shape.size))
             return fit(dataset, weight_prior, precision_priors, **kwargs)
 
         monkeypatch.setattr(harness, "fit_variational", spy)
@@ -322,9 +333,10 @@ class TestFullFit:
 
 class TestCli:
     def run_cli(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         return subprocess.run(
             [sys.executable, "-m", "crowdreg.cli", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
 
     def test_run_writes_records_and_summaries(self, tmp_path):

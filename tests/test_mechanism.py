@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdreg import (
     AnnotatorProfile,
@@ -41,6 +43,11 @@ class TestPayment:
         with pytest.raises(InvalidInputError):
             payment(-0.1, self.scheme)
 
+    @pytest.mark.parametrize("estimate", [np.nan, [2.0, np.nan]])
+    def test_nan_estimate_rejected(self, estimate):
+        with pytest.raises(InvalidInputError):
+            payment(estimate, self.scheme)
+
     def test_scheme_validation(self):
         with pytest.raises(InvalidInputError):
             PaymentScheme(0.0, 1.0, 2.0)
@@ -58,6 +65,10 @@ class TestUtility:
         got = utility(2.0, CostFunction("quadratic", (1.0,)), self.scheme)
         assert got == pytest.approx(6.0)  # 10 - 4
 
+    def test_nan_effort_rejected(self):
+        with pytest.raises(InvalidInputError):
+            utility(np.nan, CostFunction("linear", (1.0,)), self.scheme)
+
     def test_expensive_cost_never_profitable_above_floor(self):
         cost = CostFunction("linear", (15.0,))
         grid = np.linspace(1.0 + 1e-9, 4.0, 200)
@@ -67,18 +78,45 @@ class TestUtility:
 class TestSettle:
     scheme = PaymentScheme(10.0, 1.0, 3.0)
 
+    def settle_one(self, shape, rate):
+        return settle(PrecisionPosterior([shape], [rate]), self.scheme)
+
     def test_posterior_at_floor(self):
-        assert settle(PrecisionPosterior(1.0, 1.0), self.scheme) == 0.0
+        assert self.settle_one(1.0, 1.0).tolist() == [0.0]
 
     def test_posterior_above_ceiling(self):
-        assert settle(PrecisionPosterior(4.0, 1.0), self.scheme) == 10.0
+        assert self.settle_one(4.0, 1.0).tolist() == [10.0]
 
     def test_posterior_midband(self):
-        assert settle(PrecisionPosterior(2.0, 1.0), self.scheme) == pytest.approx(5.0)
+        assert self.settle_one(2.0, 1.0) == pytest.approx([5.0])
 
     def test_deterministic(self):
-        post = PrecisionPosterior(2.7, 1.3)
-        assert settle(post, self.scheme) == settle(post, self.scheme)
+        post = PrecisionPosterior([2.7, 0.4], [1.3, 0.2])
+        assert np.array_equal(settle(post, self.scheme),
+                              settle(post, self.scheme))
+
+    def test_one_payment_per_annotator(self):
+        # the vector form pays each annotator exactly what the scalar
+        # payment rule pays on its expected precision
+        shape, rate = [1.0, 4.0, 2.0, 2.7, 0.3], [1.0, 1.0, 1.0, 1.3, 0.7]
+        paid = settle(PrecisionPosterior(shape, rate), self.scheme)
+        assert paid.tolist() == [payment(s / r, self.scheme)
+                                 for s, r in zip(shape, rate)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e3), st.floats(1e-6, 1e3),
+       st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=20))
+def test_payment_bounded_and_nondecreasing(budget, lower, width, estimates):
+    scheme = PaymentScheme(budget, lower, lower + width)
+    ordered = np.sort(estimates)
+    paid = payment(ordered, scheme)
+    assert np.all((0.0 <= paid) & (paid <= budget))
+    assert np.all(np.diff(paid) >= 0)
+    scalars = [payment(float(b), scheme) for b in ordered]
+    assert all(0.0 <= p <= budget for p in scalars)
+    assert scalars == paid.tolist()
 
 
 class TestIncentiveAudit:

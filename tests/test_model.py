@@ -100,42 +100,49 @@ class TestWeightUpdate:
 
 class TestPrecisionUpdate:
     def test_no_labels_returns_prior(self):
+        # annotator 1 has no labels: its entries keep the prior values exactly
         ds = CrowdDataset(np.ones((2, 2)), {(0, 0): 1.0}, 2)
-        prior = PrecisionPosterior(2.0, 3.0)
-        weights = default_weight_prior(2)
-        assert vi_update_precision(ds, weights, prior, 1) is prior
+        prior = PrecisionPosterior([1.0, 2.0], [1.0, 3.0])
+        out = vi_update_precision(ds, default_weight_prior(2), prior)
+        assert (out.shape[1], out.rate[1]) == (2.0, 3.0)
+        assert out.shape[0] == 1.5
 
     def test_shape_gains_half_label_count(self):
         X = np.ones((4, 2))
         labels = {(i, 0): 1.0 for i in range(4)}
         ds = CrowdDataset(X, labels, 1)
         out = vi_update_precision(ds, default_weight_prior(2),
-                                  PrecisionPosterior(1.0, 1.0), 0)
-        assert out.shape == pytest.approx(3.0)
+                                  PrecisionPosterior([1.0], [1.0]))
+        assert out.shape[0] == pytest.approx(3.0)
 
     def test_exact_fit_rate_hand_value(self):
         # x=(1,0), y=1, mean=(1,0), near-zero covariance: the expected squared
         # residual vanishes and the rate stays at the prior value 1
         ds = CrowdDataset(np.array([[1.0, 0.0]]), {(0, 0): 1.0}, 1)
         weights = WeightPosterior(np.array([1.0, 0.0]), 1e14 * np.eye(2))
-        out = vi_update_precision(ds, weights, PrecisionPosterior(1.0, 1.0), 0)
-        assert out.shape == pytest.approx(1.5)
-        assert out.rate == pytest.approx(1.0, abs=1e-10)
+        out = vi_update_precision(ds, weights, PrecisionPosterior([1.0], [1.0]))
+        assert out.shape[0] == pytest.approx(1.5)
+        assert out.rate[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_paper_literal_form_differs(self):
         # same setup: the printed update keeps half of the cross term, which
         # leaves an extra y*mu'x/2 = 0.5 in the rate
         ds = CrowdDataset(np.array([[1.0, 0.0]]), {(0, 0): 1.0}, 1)
         weights = WeightPosterior(np.array([1.0, 0.0]), 1e14 * np.eye(2))
-        out = vi_update_precision(ds, weights, PrecisionPosterior(1.0, 1.0), 0,
+        out = vi_update_precision(ds, weights, PrecisionPosterior([1.0], [1.0]),
                                   paper_literal_gamma_update=True)
-        assert out.rate == pytest.approx(1.5, abs=1e-10)
+        assert out.rate[0] == pytest.approx(1.5, abs=1e-10)
 
-    def test_bad_annotator_index(self):
-        ds = one_label_dataset()
+    def test_wrong_length_prior_rejected(self):
+        # one annotator, two prior factors; a length-1 prior for two
+        # annotators would otherwise broadcast silently
+        with pytest.raises(InvalidInputError):
+            vi_update_precision(one_label_dataset(), default_weight_prior(2),
+                                default_precision_priors(2))
+        ds = CrowdDataset(np.ones((2, 2)), {(0, 0): 1.0}, 2)
         with pytest.raises(InvalidInputError):
             vi_update_precision(ds, default_weight_prior(2),
-                                PrecisionPosterior(1.0, 1.0), 1)
+                                default_precision_priors(1))
 
 
 class TestExpectedPrecision:
@@ -145,13 +152,23 @@ class TestExpectedPrecision:
         (3.0, 1.5, 2.0),
     ])
     def test_definition(self, shape, rate, value):
-        assert expected_precision(PrecisionPosterior(shape, rate)) == value
+        got = expected_precision(PrecisionPosterior([shape, 1.0], [rate, 1.0]))
+        assert got.tolist() == [value, 1.0]
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(InvalidInputError):
-            PrecisionPosterior(0.0, 1.0)
-        with pytest.raises(InvalidInputError):
-            PrecisionPosterior(1.0, -2.0)
+        for shape, rate in [([0.0], [1.0]), ([1.0], [-2.0]),
+                            ([1.0, np.nan], [1.0, 1.0]), ([1.0], [np.inf]),
+                            ([1.0, 1.0], [1.0]), (1.0, 1.0), ([[1.0]], [[1.0]])]:
+            with pytest.raises(InvalidInputError):
+                PrecisionPosterior(shape, rate)
+
+    def test_vectors_are_read_only_copies(self):
+        shape = np.array([2.0, 3.0])
+        post = PrecisionPosterior(shape, [1.0, 1.0])
+        shape[0] = 5.0
+        assert post.shape.tolist() == [2.0, 3.0]
+        with pytest.raises(ValueError):
+            post.rate[0] = 2.0
 
 
 class TestFitVariational:
@@ -161,7 +178,8 @@ class TestFitVariational:
         pprior = default_precision_priors(2)
         weights, precisions, report = fit_variational(ds, wprior, pprior)
         assert weights is wprior
-        assert precisions == pprior
+        assert np.array_equal(precisions.shape, pprior.shape)
+        assert np.array_equal(precisions.rate, pprior.rate)
         assert report.converged and report.iterations == 1
 
     def test_matches_closed_form_single_source(self):
@@ -173,7 +191,7 @@ class TestFitVariational:
         w = rng.normal(size=d)
         y = X @ w + rng.normal(0, 1 / np.sqrt(beta), n)
         ds = CrowdDataset(X, {(i, 0): float(y[i]) for i in range(n)}, 1)
-        pinned = [PrecisionPosterior(1e12 * beta, 1e12)]
+        pinned = PrecisionPosterior([1e12 * beta], [1e12])
         weights, _, report = fit_variational(ds, default_weight_prior(d), pinned)
         lam = np.eye(d) + beta * X.T @ X
         mu = np.linalg.solve(lam, beta * X.T @ y)
@@ -209,7 +227,8 @@ class TestFitVariational:
         w2, p2, _ = run()
         assert np.array_equal(w1.mean, w2.mean)
         assert np.array_equal(w1.precision, w2.precision)
-        assert p1 == p2
+        assert np.array_equal(p1.shape, p2.shape)
+        assert np.array_equal(p1.rate, p2.rate)
 
     def test_determinant_grows_with_observations(self):
         rng = np.random.default_rng(11)

@@ -76,7 +76,7 @@ def reference_sweep(X, m, labels, e, prior, prior_rates, paper_literal):
 
 
 def random_gamma(rng, m):
-    return [PrecisionPosterior(*rng.uniform(0.5, 3.0, size=2)) for _ in range(m)]
+    return PrecisionPosterior(*rng.uniform(0.5, 3.0, size=(m, 2)).T)
 
 
 def random_weights(rng, d):
@@ -98,12 +98,11 @@ def test_one_sweep_equals_public_updates_and_reference(problem, paper_literal):
         paper_literal_gamma_update=paper_literal)
     assert report.iterations == 1
 
-    e = np.array([g.shape / g.rate for g in start_gamma])
+    e = start_gamma.shape / start_gamma.rate
     composed = vi_update_weights(ds, e, prior)
-    composed_gammas = [vi_update_precision(ds, composed, pprior[j], j,
-                                           paper_literal) for j in range(m)]
+    composed_gammas = vi_update_precision(ds, composed, pprior, paper_literal)
     mean, prec, gained, rates = reference_sweep(
-        X, m, labels, e, prior, [g.rate for g in pprior], paper_literal)
+        X, m, labels, e, prior, pprior.rate, paper_literal)
 
     for other in (composed.mean, mean):
         np.testing.assert_allclose(weights.mean, other, rtol=1e-10,
@@ -111,14 +110,41 @@ def test_one_sweep_equals_public_updates_and_reference(problem, paper_literal):
     for other in (composed.precision, prec):
         np.testing.assert_allclose(weights.precision, other, rtol=1e-10,
                                    atol=1e-10)
-    shapes = [g.shape for g in gammas]
-    np.testing.assert_allclose(shapes, [g.shape for g in composed_gammas],
-                               rtol=1e-10)
-    np.testing.assert_allclose(shapes, [g.shape for g in pprior] + gained,
-                               rtol=1e-10)
-    for other in ([g.rate for g in composed_gammas], rates):
-        np.testing.assert_allclose([g.rate for g in gammas], other,
-                                   rtol=1e-10, atol=1e-10)
+    for other in (composed_gammas.shape, pprior.shape + gained):
+        np.testing.assert_allclose(gammas.shape, other, rtol=1e-10)
+    for other in (composed_gammas.rate, rates):
+        np.testing.assert_allclose(gammas.rate, other, rtol=1e-10, atol=1e-10)
+
+
+@PROPERTY
+@given(labeled_problems(), st.data(), st.integers(1, 3))
+def test_fit_is_equivariant_under_annotator_permutation(problem, data, sweeps):
+    # relabeling the annotators permutes the Gamma factors the same way and
+    # leaves the weight factor unchanged
+    X, m, labels, rng = problem
+    d = X.shape[1]
+    perm = np.array(data.draw(st.permutations(range(m))))
+    prior, pprior = random_weights(rng, d), random_gamma(rng, m)
+    start, start_gamma = random_weights(rng, d), random_gamma(rng, m)
+
+    def fit(ids, gamma_prior, gamma_start):
+        ds = CrowdDataset(X, {(i, int(ids[j])): y
+                              for (i, j), y in labels.items()}, m)
+        return fit_variational(ds, prior, gamma_prior, max_sweeps=sweeps,
+                               warm_start=(start, gamma_start))
+
+    def moved(gamma):  # factor j goes to position perm[j]
+        inverse = np.argsort(perm)
+        return PrecisionPosterior(gamma.shape[inverse], gamma.rate[inverse])
+
+    weights, gammas, report = fit(np.arange(m), pprior, start_gamma)
+    p_weights, p_gammas, p_report = fit(perm, moved(pprior), moved(start_gamma))
+    assert p_report.iterations == report.iterations
+    for a, b in ((p_weights.mean, weights.mean),
+                 (p_weights.precision, weights.precision),
+                 (p_gammas.shape, moved(gammas).shape),
+                 (p_gammas.rate, moved(gammas).rate)):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
 @PROPERTY
