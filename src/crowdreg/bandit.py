@@ -8,7 +8,9 @@ the mean, which restores a usable upper confidence bound.
 
 from __future__ import annotations
 
+import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +35,15 @@ class BanditState:
     """Mutable per-run bandit state over ``m`` annotators.
 
     ``u`` bounds the second moment of the rewards (for residuals of a Gaussian
-    with variance at most s^2, u = 3 s^4 works).  With a known play horizon
-    the confidence parameter is fixed at horizon^-2; otherwise the anytime
-    policy max(t, 2)^-2 is used.
+    with variance at most s^2, u = 3 s^4 works).  ``horizon`` is the number of
+    plays the run makes, an integer >= 2; the confidence parameter is fixed at
+    horizon^-2, so log(1/delta) = 2 log(horizon) is computed once and the
+    cutoff sqrt(u t / log(1/delta)) strictly increases with the round ``t``.
+
+    Because the cutoff never falls, a sample that enters an arm's truncated
+    mean never has to leave it.  Each arm therefore keeps only the sum of its
+    admitted residuals and a min-heap of the residuals still waiting outside
+    the cutoff; ``accepted_counts`` and ``truncated_means`` follow from them.
 
     ``discarded`` counts the samples that were outside the cutoff in force
     when they arrived.  It never decreases: a sample that later re-enters the
@@ -45,71 +53,43 @@ class BanditState:
     One experiment run owns one state; distinct runs are independent.
     """
 
-    def __init__(self, num_annotators: int, u: float, horizon: int | None = None):
+    def __init__(self, num_annotators: int, u: float, horizon: int):
         if num_annotators < 1:
             raise InvalidInputError("need at least one annotator")
         if not u > 0:
             raise InvalidInputError("moment bound u must be positive")
-        if horizon is not None and horizon < 2:
-            raise InvalidInputError("horizon must be at least 2")
+        if not isinstance(horizon, numbers.Integral) or horizon < 2:
+            raise InvalidInputError("horizon must be an integer >= 2")
         self.num_annotators = num_annotators
         self.u = float(u)
-        self.horizon = horizon
+        self.horizon = int(horizon)
         self.pulls = np.zeros(num_annotators, dtype=int)
         self.accepted_counts = np.zeros(num_annotators, dtype=int)
         self.truncated_means = np.zeros(num_annotators)
         self.t = 0
         self.discarded = 0
-        self._buffers = [np.empty(16) for _ in range(num_annotators)]
-
-    def samples(self, j: int) -> np.ndarray:
-        """Copy of annotator ``j``'s stored rewards (all <= 0)."""
-        self._check_annotator(j)
-        return self._buffers[j][: self.pulls[j]].copy()
-
-    def log_inv_delta(self) -> float:
-        """log(1/delta) under the configured confidence policy."""
-        if self.horizon is not None:
-            return 2.0 * math.log(self.horizon)
-        return 2.0 * math.log(max(self.t, 2))
+        self._log_inv_delta = 2.0 * math.log(self.horizon)
+        self._kept_sums = [0.0] * num_annotators
+        self._waiting = [[] for _ in range(num_annotators)]
 
     def _check_annotator(self, j):
         if not 0 <= j < self.num_annotators:
             raise InvalidInputError(f"annotator index {j} out of range")
 
-    def _append(self, j, value):
-        buf = self._buffers[j]
-        n = self.pulls[j]
-        if n >= buf.shape[0]:
-            grown = np.empty(2 * buf.shape[0])
-            grown[:n] = buf[:n]
-            self._buffers[j] = grown
-            buf = grown
-        buf[n] = value
 
-
-def truncation_threshold(state: BanditState, delta: float | None = None) -> float:
-    """Magnitude cutoff sqrt(u t / log(1/delta)) at the current round.
-
-    ``delta`` overrides the state's confidence policy when given (useful for
-    studying the estimator at a fixed confidence level).
-    """
+def truncation_threshold(state: BanditState) -> float:
+    """Magnitude cutoff sqrt(u t / (2 log horizon)) at the current round."""
     if state.t < 1:
         raise InvalidInputError("threshold is defined only after the first round")
-    if delta is None:
-        log_inv = state.log_inv_delta()
-    else:
-        if not 0 < delta < 1:
-            raise InvalidInputError("delta must lie in (0, 1)")
-        log_inv = math.log(1.0 / delta)
-    return math.sqrt(state.u * state.t / log_inv)
+    return math.sqrt(state.u * state.t / state._log_inv_delta)
 
 
 def truncated_mean(samples, threshold: float) -> tuple[float, int]:
     """Mean of the samples with magnitude at most ``threshold``.
 
     Returns the mean and the number of samples kept; with nothing kept the
-    mean is defined as 0.
+    mean is defined as 0.  This is the reference estimator; the bandit state
+    keeps the same mean incrementally.
     """
     if not threshold > 0:
         raise InvalidInputError("threshold must be positive")
@@ -147,61 +127,70 @@ def select_annotator(state: BanditState) -> int:
     return int(np.argmax(_ucb_values(state)))
 
 
+def _admit(state: BanditState, j: int, residual_sqs, threshold: float) -> None:
+    """Queue validated squared residuals for arm ``j`` at ``threshold``.
+
+    Arrivals outside the threshold count as discarded.  Every waiting
+    residual within it then moves into the kept sum, smallest first; the
+    cost is O(log w) per move in the w residuals still waiting.
+    """
+    waiting = state._waiting[j]
+    for residual_sq in residual_sqs:
+        state.discarded += residual_sq > threshold
+        heapq.heappush(waiting, residual_sq)
+    state.pulls[j] += len(residual_sqs)
+    kept, total = int(state.accepted_counts[j]), state._kept_sums[j]
+    while waiting and waiting[0] <= threshold:
+        total += heapq.heappop(waiting)
+        kept += 1
+    state._kept_sums[j] = total
+    state.accepted_counts[j] = kept
+    state.truncated_means[j] = -total / kept if kept else 0.0
+
+
 def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
     """Store one observed squared residual for annotator ``j`` (in place).
 
-    Advances the round counter and re-filters all of ``j``'s stored rewards
-    against the refreshed threshold, so previously rejected samples may
-    re-enter the mean as the cutoff grows.  Returns whether the new sample is
-    within that threshold (accepted); if not, it adds one to
-    ``state.discarded``, which a later re-entry does not undo.
+    Advances the round counter and admits into ``j``'s truncated mean every
+    waiting residual of ``j`` within the refreshed cutoff, so a sample
+    rejected earlier re-enters once the cutoff has grown past it.  Returns
+    whether the new sample is within that cutoff (accepted); if not, it adds
+    one to ``state.discarded``, which a later re-entry does not undo.
     """
     state._check_annotator(j)
-    if not (np.isfinite(residual_sq) and residual_sq >= 0):
+    residual_sq = float(residual_sq)
+    if not (math.isfinite(residual_sq) and residual_sq >= 0):
         raise InvalidInputError("residual_sq must be finite and >= 0")
-    state._append(j, -float(residual_sq))
-    state.pulls[j] += 1
     state.t += 1
     threshold = truncation_threshold(state)
-    xs = state._buffers[j][: state.pulls[j]]
-    mean, kept = truncated_mean(xs, threshold)
-    state.truncated_means[j] = mean
-    state.accepted_counts[j] = kept
-    accepted = bool(residual_sq <= threshold)
-    if not accepted:
-        state.discarded += 1
-    return accepted
+    _admit(state, j, (residual_sq,), threshold)
+    return residual_sq <= threshold
 
 
 def initialize_state(state: BanditState, residual_sqs) -> BanditState:
     """Prime a fresh state with pre-collected squared residuals.
 
     ``residual_sqs`` holds one sequence per annotator (for example residuals
-    of an initial pool labeled by everyone).  All samples are loaded, the
-    round counter jumps to the total count, and the truncated means are set in
-    one filtering pass at the resulting threshold.  The whole batch arrives
-    at that one cutoff, so the samples outside it are exactly the discarded
-    ones in the sense of ``BanditState.discarded``.
+    of an initial pool labeled by everyone).  The whole batch is checked
+    before the state changes, so a rejected call leaves it untouched.  The
+    round counter then jumps to the total count and every sample arrives at
+    the one cutoff of that round: those outside it wait, and are exactly the
+    discarded ones in the sense of ``BanditState.discarded``.
     """
     if state.t != 0:
         raise InvalidInputError("state has already been played")
     if len(residual_sqs) != state.num_annotators:
         raise InvalidInputError("need one residual sequence per annotator")
-    for j, seq in enumerate(residual_sqs):
-        for value in seq:
-            if not (np.isfinite(value) and value >= 0):
-                raise InvalidInputError("residuals must be finite and >= 0")
-            state._append(j, -float(value))
-            state.pulls[j] += 1
-        state.t += int(len(seq))
+    batch = [[float(value) for value in seq] for seq in residual_sqs]
+    if not all(math.isfinite(value) and value >= 0
+               for seq in batch for value in seq):
+        raise InvalidInputError("residuals must be finite and >= 0")
+    state.t = sum(map(len, batch))
     if state.t == 0:
         return state
     threshold = truncation_threshold(state)
-    for j in range(state.num_annotators):
-        mean, kept = truncated_mean(state._buffers[j][: state.pulls[j]], threshold)
-        state.truncated_means[j] = mean
-        state.accepted_counts[j] = kept
-    state.discarded = int((state.pulls - state.accepted_counts).sum())
+    for j, seq in enumerate(batch):
+        _admit(state, j, seq, threshold)
     return state
 
 

@@ -20,7 +20,7 @@ from crowdreg import (
 )
 
 
-def played_state(m=2, u=1.0, horizon=None, t=1):
+def played_state(m=2, u=1.0, horizon=2, t=1):
     state = BanditState(m, u, horizon=horizon)
     state.t = t  # direct round override for threshold-only checks
     return state
@@ -28,12 +28,13 @@ def played_state(m=2, u=1.0, horizon=None, t=1):
 
 class TestTruncationThreshold:
     def test_unit_factors(self):
-        state = played_state(u=1.0, t=1)
-        assert truncation_threshold(state, delta=math.exp(-1)) == pytest.approx(1.0)
+        # log(1/delta) = 2 log 7, so u = 2 log 7 makes every factor one
+        state = played_state(u=2 * math.log(7), horizon=7, t=1)
+        assert truncation_threshold(state) == pytest.approx(1.0)
 
     def test_scalar_hand_value(self):
-        state = played_state(u=4.0, t=9)
-        assert truncation_threshold(state, delta=math.exp(-1)) == pytest.approx(6.0)
+        state = played_state(u=8 * math.log(3), horizon=3, t=9)
+        assert truncation_threshold(state) == pytest.approx(6.0)
 
     def test_nondecreasing_under_fixed_horizon(self):
         state = BanditState(2, 2.0, horizon=100)
@@ -43,14 +44,14 @@ class TestTruncationThreshold:
             values.append(truncation_threshold(state))
         assert np.all(np.diff(values) > 0)
 
-    def test_anytime_policy_uses_current_round(self):
-        state = played_state(u=1.0, t=5)
-        assert truncation_threshold(state) == pytest.approx(
-            math.sqrt(5.0 / (2 * math.log(5))))
-
     def test_requires_at_least_one_round(self):
         with pytest.raises(InvalidInputError):
-            truncation_threshold(BanditState(2, 1.0))
+            truncation_threshold(BanditState(2, 1.0, horizon=10))
+
+    @pytest.mark.parametrize("horizon", [None, 1, 0, 10.0, 2.5])
+    def test_horizon_must_be_an_integer_at_least_two(self, horizon):
+        with pytest.raises(InvalidInputError):
+            BanditState(2, 1.0, horizon=horizon)
 
 
 class TestTruncatedMean:
@@ -70,18 +71,18 @@ class TestTruncatedMean:
 
 class TestUcbIndex:
     def test_unpulled_is_infinite(self):
-        assert ucb_index(BanditState(3, 1.0), 1) == math.inf
+        assert ucb_index(BanditState(3, 1.0, horizon=10), 1) == math.inf
 
     def test_width_formula(self):
         # with u=1 and 32 pulls the width reduces to sqrt(log t)
-        state = BanditState(1, 1.0)
+        state = BanditState(1, 1.0, horizon=10)
         state.pulls[0] = 32
         state.truncated_means[0] = -1.0
         state.t = 3
         assert ucb_index(state, 0) == pytest.approx(-1.0 + math.sqrt(math.log(3)))
 
     def test_log_floor_at_round_one(self):
-        state = BanditState(1, 1.0)
+        state = BanditState(1, 1.0, horizon=10)
         state.pulls[0] = 1
         state.truncated_means[0] = -2.5
         state.t = 1
@@ -90,17 +91,17 @@ class TestUcbIndex:
 
 class TestSelectAnnotator:
     def test_all_unpulled_takes_first(self):
-        assert select_annotator(BanditState(4, 1.0)) == 0
+        assert select_annotator(BanditState(4, 1.0, horizon=10)) == 0
 
     def test_tie_breaks_to_lowest_index(self):
-        state = BanditState(2, 1.0)
+        state = BanditState(2, 1.0, horizon=10)
         state.pulls[:] = [5, 5]
         state.truncated_means[:] = [-1.0, -1.0]
         state.t = 10
         assert select_annotator(state) == 0
 
     def test_less_negative_mean_wins(self):
-        state = BanditState(2, 1.0)
+        state = BanditState(2, 1.0, horizon=10)
         state.pulls[:] = [4, 4]
         state.truncated_means[:] = [-1.0, -5.0]
         state.t = 8
@@ -127,7 +128,7 @@ class TestRecordOutcome:
         assert state.discarded == 0
 
     def test_rejected_sample_counts_as_discarded(self):
-        state = BanditState(1, 1.0)  # anytime: threshold at t=1 is ~0.849
+        state = BanditState(1, 1.0, horizon=2)  # threshold at t=1 is ~0.849
         record_outcome(state, 0, 5.0)
         assert state.pulls[0] == 1
         assert state.accepted_counts[0] == 0
@@ -135,9 +136,9 @@ class TestRecordOutcome:
         assert state.discarded == 1
 
     def test_rejected_sample_reenters_as_threshold_grows(self):
-        # anytime thresholds: 0.8493 at t=1, 1.2011 at t=2; a magnitude-1
-        # sample is rejected first and re-enters on the next refilter
-        state = BanditState(1, 1.0)
+        # horizon-2 thresholds: 0.8493 at t=1, 1.2011 at t=2; a magnitude-1
+        # sample waits first and re-enters the mean on the next pull
+        state = BanditState(1, 1.0, horizon=2)
         record_outcome(state, 0, 1.0)
         assert state.accepted_counts[0] == 0 and state.discarded == 1
         record_outcome(state, 0, 0.5)
@@ -165,7 +166,7 @@ class TestRecordOutcome:
             assert accepted is (residual_sq <= truncation_threshold(state))
 
     def test_validates_input(self):
-        state = BanditState(1, 1.0)
+        state = BanditState(1, 1.0, horizon=10)
         with pytest.raises(InvalidInputError):
             record_outcome(state, 0, -1.0)
         with pytest.raises(InvalidInputError):
@@ -188,10 +189,25 @@ class TestInitializeState:
         assert state.discarded == 1
 
     def test_refuses_used_state(self):
-        state = BanditState(1, 1.0)
+        state = BanditState(1, 1.0, horizon=10)
         record_outcome(state, 0, 0.1)
         with pytest.raises(InvalidInputError):
             initialize_state(state, [[0.2]])
+
+    @pytest.mark.parametrize("batch", [[[0.1, 0.2], [math.nan]],
+                                       [[0.1, 0.2], [-1.0]],
+                                       [[0.1, 0.2], [0.3], [0.4]]])
+    def test_rejected_batch_leaves_state_untouched(self, batch):
+        state = BanditState(2, 1.0, horizon=10)
+        with pytest.raises(InvalidInputError):
+            initialize_state(state, batch)
+        assert state.t == 0 and state.discarded == 0
+        assert list(state.pulls) == [0, 0]
+        assert list(state.accepted_counts) == [0, 0]
+        assert list(state.truncated_means) == [0.0, 0.0]
+        initialize_state(state, [[0.1, 0.2], [0.3]])
+        assert state.t == 3 and list(state.pulls) == [2, 1]
+        assert state.truncated_means[0] == pytest.approx(-0.15)
 
 
 residuals = st.floats(0.0, 50.0)
@@ -200,11 +216,24 @@ residuals = st.floats(0.0, 50.0)
 class TestDiscardedCount:
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 4), u=st.floats(0.1, 10.0),
-           horizon=st.none() | st.integers(2, 500), data=st.data())
+           horizon=st.integers(2, 500), data=st.data())
     def test_counts_arrivals_outside_the_cutoff(self, m, u, horizon, data):
+        # the incremental kept sums also match the reference estimator over
+        # each arm's full reward list at the current cutoff
+        def assert_matches_reference(j):
+            mean, kept = truncated_mean([-r for r in rewards[j]],
+                                        truncation_threshold(state))
+            assert state.accepted_counts[j] == kept
+            assert state.truncated_means[j] == pytest.approx(mean, rel=1e-12)
+
         state = BanditState(m, u, horizon=horizon)
-        initialize_state(state, data.draw(
-            st.lists(st.lists(residuals, max_size=4), min_size=m, max_size=m)))
+        batch = data.draw(
+            st.lists(st.lists(residuals, max_size=4), min_size=m, max_size=m))
+        initialize_state(state, batch)
+        rewards = [list(seq) for seq in batch]
+        if state.t > 0:
+            for j in range(m):
+                assert_matches_reference(j)
         initial = state.discarded
         rejected = 0
         pulls = data.draw(st.lists(st.tuples(st.integers(0, m - 1), residuals),
@@ -212,13 +241,15 @@ class TestDiscardedCount:
         for j, residual_sq in pulls:
             before = state.discarded
             rejected += not record_outcome(state, j, residual_sq)
+            rewards[j].append(residual_sq)
             assert state.discarded >= before
             assert state.discarded == initial + rejected
+            assert_matches_reference(j)
 
     def test_can_exceed_currently_excluded_samples(self):
-        # anytime thresholds 0.8493 then 1.2011: the magnitude-1 sample is
+        # horizon-2 thresholds 0.8493 then 1.2011: the magnitude-1 sample is
         # discarded on arrival and re-enters the mean on the next pull
-        state = BanditState(1, 1.0)
+        state = BanditState(1, 1.0, horizon=2)
         assert record_outcome(state, 0, 1.0) is False
         assert record_outcome(state, 0, 0.5) is True
         assert state.pulls[0] - state.accepted_counts[0] == 0

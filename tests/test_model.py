@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdreg import (
     CrowdDataset,
@@ -182,11 +184,13 @@ class TestFitVariational:
         assert np.array_equal(precisions.rate, pprior.rate)
         assert report.converged and report.iterations == 1
 
-    def test_matches_closed_form_single_source(self):
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 5), n=st.integers(1, 40),
+           beta=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_closed_form_single_source(self, d, n, beta, seed):
         # with the annotator precision pinned, the weight factor must agree
         # with the conjugate Gaussian posterior
-        rng = np.random.default_rng(3)
-        d, beta, n = 3, 2.5, 40
+        rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d))
         w = rng.normal(size=d)
         y = X @ w + rng.normal(0, 1 / np.sqrt(beta), n)

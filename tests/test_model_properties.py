@@ -41,7 +41,7 @@ def assert_stats_equal(a, b, rtol):
 @PROPERTY
 @given(labeled_problems(), st.data())
 def test_with_label_chain_matches_batch_build(problem, data):
-    X, m, labels, _ = problem
+    X, m, labels, rng = problem
     keys = list(labels)
     order = data.draw(st.permutations(keys))
     split = data.draw(st.integers(0, len(keys)))
@@ -53,6 +53,18 @@ def test_with_label_chain_matches_batch_build(problem, data):
     assert ds.labels == batch.labels
     assert np.array_equal(ds.label_counts, batch.label_counts)
     assert_stats_equal(ds, batch, rtol=1e-12)
+
+    # so the fit does not depend on the order the labels arrived in
+    prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
+    sweeps = data.draw(st.integers(1, 3))
+    fits = [fit_variational(built, prior, pprior, max_sweeps=sweeps)
+            for built in (ds, batch)]
+    (weights, gammas, report), (b_weights, b_gammas, b_report) = fits
+    assert report.iterations == b_report.iterations
+    for a, b in ((weights.mean, b_weights.mean),
+                 (weights.precision, b_weights.precision),
+                 (gammas.shape, b_gammas.shape), (gammas.rate, b_gammas.rate)):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
 def reference_sweep(X, m, labels, e, prior, prior_rates, paper_literal):
