@@ -26,7 +26,7 @@ centers = fit_centers(X, 3, seed=7)
 print("\nk-means representatives (normalized space):")
 print(centers.round(3))
 
-spec = TransformSpec(centers, 1.0, "sigmoid")
+spec = TransformSpec(centers, 1.0)
 phi = transform(X, spec)
 print("\nsigmoid feature ranges (always within [0.5, 1)):")
 print("  min", phi.min(axis=0).round(3), " max", phi.max(axis=0).round(3))

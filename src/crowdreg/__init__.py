@@ -6,17 +6,16 @@ from .active import (det_shrinkage, error_contraction_bounds, instance_score,
                      select_instance)
 from .bandit import (BanditState, RegretLedger, initialize_state,
                      record_outcome, regret_bound, regret_seq,
-                     select_annotator, truncated_mean, truncation_threshold,
-                     ucb_index)
+                     select_annotator, truncated_mean, truncation_threshold)
 from .crowd import (AnnotatorProfile, CostFunction, label_value,
-                    make_annotators, optimal_effort, sample_label)
+                    make_annotators, optimal_effort)
 from .errors import (CrowdError, DataFormatError, InvalidInputError,
                      NumericalFailureError, PoolExhaustedError)
 from .features import (Normalization, TransformSpec, apply_normalization,
                        fit_centers, normalize, transform)
 from .harness import (ExperimentConfig, RoundRecord, emit_records, full_fit,
                       load_csv, rmse, run_experiment, summarize,
-                      synthetic_housing_like, synthetic_linear)
+                      synthetic_housing_like)
 from .mechanism import PaymentScheme, payment, settle, utility
 from .model import (CrowdDataset, FitReport, PrecisionPosterior,
                     WeightPosterior, default_precision_priors,
@@ -68,17 +67,14 @@ __all__ = [
     "regret_seq",
     "rmse",
     "run_experiment",
-    "sample_label",
     "select_annotator",
     "select_instance",
     "settle",
     "summarize",
     "synthetic_housing_like",
-    "synthetic_linear",
     "transform",
     "truncated_mean",
     "truncation_threshold",
-    "ucb_index",
     "utility",
     "vi_update_precision",
     "vi_update_weights",

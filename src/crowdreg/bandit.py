@@ -22,7 +22,6 @@ __all__ = [
     "RegretLedger",
     "truncation_threshold",
     "truncated_mean",
-    "ucb_index",
     "select_annotator",
     "record_outcome",
     "initialize_state",
@@ -72,10 +71,6 @@ class BanditState:
         self._kept_sums = [0.0] * num_annotators
         self._waiting = [[] for _ in range(num_annotators)]
 
-    def _check_annotator(self, j):
-        if not 0 <= j < self.num_annotators:
-            raise InvalidInputError(f"annotator index {j} out of range")
-
 
 def truncation_threshold(state: BanditState) -> float:
     """Magnitude cutoff sqrt(u t / (2 log horizon)) at the current round."""
@@ -104,6 +99,8 @@ def truncated_mean(samples, threshold: float) -> tuple[float, int]:
 
 
 def _ucb_values(state: BanditState) -> np.ndarray:
+    """Every arm's index: truncated mean plus sqrt(32 u log t / n_j).  An
+    unpulled arm gets +inf, which forces one exploration pull each."""
     values = np.full(state.num_annotators, np.inf)
     pulled = state.pulls > 0
     if np.any(pulled):
@@ -111,15 +108,6 @@ def _ucb_values(state: BanditState) -> np.ndarray:
         width = np.sqrt(32.0 * state.u * log_t / state.pulls[pulled])
         values[pulled] = state.truncated_means[pulled] + width
     return values
-
-
-def ucb_index(state: BanditState, j: int) -> float:
-    """Optimistic index: truncated mean plus sqrt(32 u log t / n_j).
-
-    Unpulled annotators get +inf, which forces one exploration pull each.
-    """
-    state._check_annotator(j)
-    return float(_ucb_values(state)[j])
 
 
 def select_annotator(state: BanditState) -> int:
@@ -157,7 +145,8 @@ def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
     whether the new sample is within that cutoff (accepted); if not, it adds
     one to ``state.discarded``, which a later re-entry does not undo.
     """
-    state._check_annotator(j)
+    if not 0 <= j < state.num_annotators:
+        raise InvalidInputError(f"annotator index {j} out of range")
     residual_sq = float(residual_sq)
     if not (math.isfinite(residual_sq) and residual_sq >= 0):
         raise InvalidInputError("residual_sq must be finite and >= 0")
@@ -224,12 +213,6 @@ class RegretLedger:
             raise InvalidInputError("precisions must be positive")
         variances = 1.0 / betas
         return cls(variances - variances.min(), np.zeros(betas.size, dtype=int))
-
-    @classmethod
-    def from_reward_means(cls, means) -> "RegretLedger":
-        """Gaps best-mean - mean_j from true arm reward means."""
-        mu = np.asarray(means, dtype=float)
-        return cls(mu.max() - mu, np.zeros(mu.size, dtype=int))
 
     def record_pull(self, j: int) -> None:
         if not 0 <= j < self.gaps.size:

@@ -20,11 +20,10 @@ __all__ = [
     "AnnotatorProfile",
     "make_annotators",
     "label_value",
-    "sample_label",
     "optimal_effort",
 ]
 
-_COST_KINDS = ("linear", "quadratic", "threshold")
+_COST_FAMILIES = ("linear", "quadratic", "threshold")
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,8 @@ class CostFunction:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _COST_KINDS:
-            raise InvalidInputError(f"kind must be one of {_COST_KINDS}")
+        if self.kind not in _COST_FAMILIES:
+            raise InvalidInputError(f"kind must be one of {_COST_FAMILIES}")
         params = tuple(float(p) for p in self.params)
         expected = 3 if self.kind == "threshold" else 1
         if len(params) != expected:
@@ -96,13 +95,13 @@ def make_annotators(m, good, interval_good, interval_bad, seed):
 
     Noise standard deviations (1/sqrt(best precision)) are uniform on
     ``interval_good`` for the first ``good`` annotators and on
-    ``interval_bad`` for the rest.  Degenerate ``[c, c]`` intervals are
-    allowed and pin the value exactly.
+    ``interval_bad`` for the rest.  Each interval needs finite bounds
+    ``0 < lo <= hi``; degenerate ``[c, c]`` intervals pin the value exactly.
     """
     if not 0 <= good <= m:
         raise InvalidInputError("need 0 <= good <= m")
     for lo, hi in (interval_good, interval_bad):
-        if not (0 < lo <= hi):
+        if not 0 < lo <= hi < np.inf:
             raise InvalidInputError(f"invalid noise interval [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     sd = np.concatenate([
@@ -124,16 +123,6 @@ def label_value(profile: AnnotatorProfile, true_value: float, effort: float,
             f"effort {effort} outside (0, {profile.best_precision}]"
         )
     return float(true_value + rng.normal(0.0, 1.0 / np.sqrt(effort)))
-
-
-def sample_label(profile: AnnotatorProfile, x, w_true, effort: float,
-                 rng: np.random.Generator) -> float:
-    """Noisy label for instance ``x`` under the true weight vector."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w_true, dtype=float)
-    if x.shape != w.shape or x.ndim != 1:
-        raise InvalidInputError("x and w_true must be vectors of equal length")
-    return label_value(profile, float(w @ x), effort, rng)
 
 
 def optimal_effort(profile: AnnotatorProfile, scheme: PaymentScheme,

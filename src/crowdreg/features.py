@@ -20,33 +20,27 @@ __all__ = [
     "apply_normalization",
 ]
 
-_KINDS = ("linear", "sigmoid")
-
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Parameters of the feature transform.
+    """Parameters of the sigmoid distance transform.
 
-    ``linear`` passes features through unchanged.  ``sigmoid`` maps a vector x
-    to one output per reference point: 1 / (1 + exp(-||x - R_b|| / s)).  Since
-    the distance is nonnegative, every sigmoid output lies in [0.5, 1).
+    A vector x maps to one output per reference point R_b:
+    1 / (1 + exp(-||x - R_b|| / s)).  Since the distance is nonnegative,
+    every output lies in [0.5, 1).
     """
 
     centers: np.ndarray
     scale: float
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidInputError(f"kind must be one of {_KINDS}")
         if not self.scale > 0:
             raise InvalidInputError("scale must be positive")
         centers = np.asarray(self.centers, dtype=float)
-        if self.kind == "sigmoid":
-            if centers.ndim != 2 or centers.shape[0] < 1:
-                raise InvalidInputError(
-                    "sigmoid transform needs a 2-D array of reference points"
-                )
+        if centers.ndim != 2 or centers.shape[0] < 1:
+            raise InvalidInputError(
+                "sigmoid transform needs a 2-D array of reference points"
+            )
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "scale", float(self.scale))
 
@@ -118,22 +112,19 @@ def fit_centers(X, k: int, seed) -> np.ndarray:
 
 
 def transform(x, spec: TransformSpec) -> np.ndarray:
-    """Apply the transform to one vector or row-wise to a matrix."""
+    """Apply the sigmoid transform to one vector or row-wise to a matrix."""
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     rows = arr[None, :] if single else arr
     if rows.ndim != 2:
         raise InvalidInputError("input must be a vector or a matrix of rows")
-    if spec.kind == "linear":
-        out = rows.copy()
-    else:
-        if rows.shape[1] != spec.centers.shape[1]:
-            raise InvalidInputError(
-                f"input dimension {rows.shape[1]} does not match reference "
-                f"point dimension {spec.centers.shape[1]}"
-            )
-        dist = np.sqrt(_squared_distances(rows, spec.centers))
-        out = 1.0 / (1.0 + np.exp(-dist / spec.scale))
+    if rows.shape[1] != spec.centers.shape[1]:
+        raise InvalidInputError(
+            f"input dimension {rows.shape[1]} does not match reference "
+            f"point dimension {spec.centers.shape[1]}"
+        )
+    dist = np.sqrt(_squared_distances(rows, spec.centers))
+    out = 1.0 / (1.0 + np.exp(-dist / spec.scale))
     return out[0] if single else out
 
 

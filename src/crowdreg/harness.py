@@ -42,7 +42,6 @@ __all__ = [
     "emit_records",
     "summarize",
     "synthetic_housing_like",
-    "synthetic_linear",
 ]
 
 # Strategy -> (instance rule, annotator rule); the first is the default.
@@ -62,6 +61,9 @@ STRATEGIES = tuple(_RULES)
 _SPLIT, _KMEANS, _ANNOT, _STRATEGY, _LABEL, _SGRID = range(6)
 
 _SINGLE_SOURCE_SD = 0.01
+
+# Noise sd of the synthetic dataset's structural residual.
+_RESIDUAL_SD = 4.7
 
 
 def _fmt(value: float) -> str:
@@ -121,7 +123,14 @@ _LIMITS = {
                  "must lie in [0, num_annotators]"),
     "strategy": (lambda v, c: v in STRATEGIES, f"must be one of {STRATEGIES}"),
     "output_format": (lambda v, c: v in FORMATS, f"must be one of {FORMATS}"),
+    **dict.fromkeys(("interval_good", "interval_bad"),
+                    (lambda v, c: 0 < v[0] <= v[1] < math.inf,
+                     "must satisfy 0 < lo <= hi < inf")),
     "vi_tolerance": (lambda v, c: v > 0, "must be > 0"),
+    **dict.fromkeys(("payment_budget", "u_override", "beta_lower",
+                     "beta_upper"),
+                    (lambda v, c: v is None or 0 < v < math.inf,
+                     "must be finite and > 0")),
     **dict.fromkeys(("seed_pool_size", "num_annotators", "repetitions",
                      "initial_sweeps", "round_sweeps"),
                     (lambda v, c: v >= 1, "must be >= 1")),
@@ -134,8 +143,8 @@ _LIMITS = {
 class ExperimentConfig:
     """Everything a run needs; mirrors the config-file key names exactly.
 
-    Construction checks each field's type and limits and names the first
-    offending key.
+    Construction checks each field's type and limits, then the resolved
+    payment band, and names the first offending key.
     """
 
     data_path: str | None = None
@@ -150,7 +159,6 @@ class ExperimentConfig:
     budget: int = 100
     strategy: str = STRATEGIES[0]
     u_override: float | None = None
-    sigma_max: float | None = None
     payment_budget: float = 1.0
     beta_lower: float | None = None
     beta_upper: float | None = None
@@ -176,6 +184,10 @@ class ExperimentConfig:
                     f"config key {f.name!r} {requirement}, got {value!r}")
             if f.type.startswith("tuple"):
                 object.__setattr__(self, f.name, tuple(map(float, value)))
+        try:
+            self.scheme()
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"config key 'beta_lower': {exc}") from None
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -192,6 +204,9 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 values = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"config file {path}: not UTF-8 text "
+                                      f"({exc.reason})") from None
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"config file {path}: {exc}") from None
         if not isinstance(values, dict):
@@ -199,11 +214,10 @@ class ExperimentConfig:
         return cls.from_dict(values)
 
     def moment_bound(self) -> float:
-        """u for the bandit: override, or 3 sigma_max^4 under Gaussian noise."""
+        """u for the bandit: override, or 3 interval_bad[1]^4 (Gaussian noise)."""
         if self.u_override is not None:
             return float(self.u_override)
-        sigma = self.sigma_max if self.sigma_max is not None else self.interval_bad[1]
-        return 3.0 * float(sigma) ** 4
+        return 3.0 * self.interval_bad[1] ** 4
 
     def scheme(self) -> PaymentScheme:
         """Payment band; defaults bracket the configured noise intervals."""
@@ -243,35 +257,39 @@ def load_csv(path):
     values, width, header = array("d"), None, False
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for row in filter(None, reader):
-            r = reader.line_num
-            if width is not None and len(row) != width:
-                raise DataFormatError(
-                    f"{path}: row {r} has {len(row)} cells, expected {width}"
-                )
-            try:
-                parsed = [float(cell) for cell in row]
-            except ValueError:
-                if width is None and not header:  # a non-numeric first row
-                    header = True
-                    continue
-                for c, cell in enumerate(row, start=1):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DataFormatError(f"{path}: row {r}, column {c}: "
-                                              f"cannot parse {cell!r}") from None
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise DataFormatError(f"{path}: need at least 2 columns "
-                                          f"(features plus target), got {width}")
-            if not all(map(math.isfinite, parsed)):
-                c = next(c for c, v in enumerate(parsed, start=1)
-                         if not math.isfinite(v))
-                raise DataFormatError(f"{path}: row {r}, column {c}: "
-                                      f"non-finite value {parsed[c - 1]}")
-            values.extend(parsed)
+        try:
+            for row in filter(None, reader):
+                r = reader.line_num
+                if width is not None and len(row) != width:
+                    raise DataFormatError(
+                        f"{path}: row {r} has {len(row)} cells, expected {width}"
+                    )
+                try:
+                    parsed = [float(cell) for cell in row]
+                except ValueError:
+                    if width is None and not header:  # a non-numeric first row
+                        header = True
+                        continue
+                    for c, cell in enumerate(row, start=1):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise DataFormatError(f"{path}: row {r}, column {c}: "
+                                                  f"cannot parse {cell!r}") from None
+                if width is None:
+                    width = len(row)
+                    if width < 2:
+                        raise DataFormatError(f"{path}: need at least 2 columns "
+                                              f"(features plus target), got {width}")
+                if not all(map(math.isfinite, parsed)):
+                    c = next(c for c, v in enumerate(parsed, start=1)
+                             if not math.isfinite(v))
+                    raise DataFormatError(f"{path}: row {r}, column {c}: "
+                                          f"non-finite value {parsed[c - 1]}")
+                values.extend(parsed)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text "
+                                  f"({exc.reason})") from None
     if width is None:
         raise DataFormatError(f"{path}: no data rows after the header" if header
                               else f"{path}: file holds no rows")
@@ -306,20 +324,7 @@ def summarize(records):
             for r in last.values()]
 
 
-def synthetic_linear(n: int, d: int, seed, noise_sd: float = 0.0,
-                     weight_scale: float = 1.0):
-    """Plain linear ground truth; returns (X, targets, true weights)."""
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    w = weight_scale * rng.normal(size=d)
-    y = X @ w
-    if noise_sd > 0:
-        y = y + rng.normal(0.0, noise_sd, size=n)
-    return X, y, w
-
-
-def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12,
-                           residual_sd: float = 4.7):
+def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12):
     """Deterministic stand-in for a mid-sized tabular regression dataset.
 
     Features carry a mild cluster structure; targets are linear in the
@@ -334,7 +339,7 @@ def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12,
     Xn, _ = normalize(X)
     w = rng.normal(size=d)
     w = w * (8.0 / max((Xn @ w).std(), 1e-12))
-    y = Xn @ w + rng.normal(0.0, residual_sd, size=n)
+    y = Xn @ w + rng.normal(0.0, _RESIDUAL_SD, size=n)
     return X, y
 
 
@@ -363,7 +368,7 @@ def _choose_scale(config, rep_seed, pool_features, centers, labels, m):
                            for i in val_idx])
     best_s, best_err = None, np.inf
     for s in config.s_grid:
-        spec = TransformSpec(centers, s, "sigmoid")
+        spec = TransformSpec(centers, s)
         phi = transform(pool_features, spec)
         ds = CrowdDataset(phi, train_labels, m)
         weights, _, _ = fit_variational(
@@ -417,7 +422,7 @@ def _setup(config, data, rep_seed, k):
         centers = fit_centers(pool_norm, pool_norm.shape[1],
                               [rep_seed, _KMEANS])
         s = _choose_scale(config, rep_seed, pool_norm, centers, labels, m)
-        spec = TransformSpec(centers, s, "sigmoid")
+        spec = TransformSpec(centers, s)
         pool_phi, test_phi = transform(pool_norm, spec), transform(test_norm, spec)
     dataset = CrowdDataset(pool_phi, labels, m)
     weights, precisions, _ = fit_variational(

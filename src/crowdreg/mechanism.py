@@ -25,10 +25,11 @@ class PaymentScheme:
     beta_upper: float
 
     def __post_init__(self):
-        if not self.budget > 0:
-            raise InvalidInputError("budget must be positive")
-        if not 0 < self.beta_lower < self.beta_upper:
-            raise InvalidInputError("need 0 < beta_lower < beta_upper")
+        if not 0 < self.budget < np.inf:
+            raise InvalidInputError("budget must be finite and positive")
+        if not 0 < self.beta_lower < self.beta_upper < np.inf:
+            raise InvalidInputError(f"need 0 < beta_lower < beta_upper < inf, "
+                                    f"got [{self.beta_lower}, {self.beta_upper}]")
 
 
 def payment(beta_hat, scheme: PaymentScheme):

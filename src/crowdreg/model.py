@@ -284,17 +284,17 @@ def _weight_step(stats, e, prior, prior_shift):
     return sol[:, 0], prec, 0.5 * (sol[:, 1:] + sol[:, 1:].T)
 
 
-def _rate_step(stats, mean, cov, prior_rates, paper_literal):
+def _rate_step(stats, mean, cov, prior_rates):
     """Gamma rates given the weight moments.
 
     ``grams @ vec(cov + mean mean')`` is each annotator's summed E[(x'w)^2].
-    ``paper_literal`` gives the label-mean cross term the printed update's
-    factor of one; the default factor of two is the mean-field expectation of
-    the Gaussian likelihood, the form that passes the single-source check.
+    The label-mean cross term carries the mean-field factor of two; the
+    paper's printed update has a factor of one, which fails the
+    single-source check.
     """
     grams, xty, ysq, _ = stats
     second = grams @ (cov + np.outer(mean, mean)).ravel()
-    cross = (1.0 if paper_literal else 2.0) * (xty @ mean)
+    cross = 2.0 * (xty @ mean)
     rates = prior_rates + 0.5 * (ysq - cross + second)
     # Unlabeled annotators keep their prior rate (> 0); NaN fails too.
     if not (0 < rates.min() and rates.max() < np.inf):
@@ -332,7 +332,6 @@ def vi_update_precision(
     dataset: CrowdDataset,
     weights: WeightPosterior,
     prior: PrecisionPosterior,
-    paper_literal_gamma_update: bool = False,
 ) -> PrecisionPosterior:
     """Gamma-factor update for every annotator given the weight posterior.
 
@@ -347,7 +346,7 @@ def vi_update_precision(
             f"need {dataset.num_annotators} precision factors, got "
             f"{prior.shape.size}")
     rates = _rate_step(dataset._suffstats, weights.mean, weights.covariance,
-                       prior.rate, paper_literal_gamma_update)
+                       prior.rate)
     return PrecisionPosterior(prior.shape + dataset.label_counts / 2.0, rates)
 
 
@@ -358,7 +357,6 @@ def fit_variational(
     tolerance: float = 1e-6,
     max_sweeps: int = 200,
     warm_start: tuple[WeightPosterior, PrecisionPosterior] | None = None,
-    paper_literal_gamma_update: bool = False,
 ) -> tuple[WeightPosterior, PrecisionPosterior, FitReport]:
     """Alternate the weight and precision updates until they stop moving.
 
@@ -394,8 +392,7 @@ def fit_variational(
     for sweeps in range(1, max_sweeps + 1):
         new_mean, new_prec, cov = _weight_step(
             stats, shapes / rates, weight_prior, prior_shift)
-        new_rates = _rate_step(stats, new_mean, cov, precision_priors.rate,
-                               paper_literal_gamma_update)
+        new_rates = _rate_step(stats, new_mean, cov, precision_priors.rate)
         delta = float(max(
             np.abs(new_mean - mean).max(), np.abs(new_prec - prec).max(),
             np.abs(post_shapes - shapes).max(), np.abs(new_rates - rates).max()))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crowdreg import (
     InvalidInputError,
@@ -74,6 +76,26 @@ class TestSelectInstance:
         for bad in ([3], [-1], [[0, 1]], [1.0]):
             with pytest.raises(InvalidInputError):
                 select_instance(bad, features, default_weight_prior(2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 30), st.floats(0.05, 10.0),
+           st.integers(0, 2**32 - 1))
+    def test_is_the_entropy_minimizer(self, d, k, beta, seed):
+        # a label of precision beta on x turns P into P + beta x x', and the
+        # Gaussian posterior's entropy falls as log det of that grows: for
+        # any beta the choice is the dense log-det argmax
+        rng = np.random.default_rng(seed)
+        post = random_posterior(rng, d)
+        features = rng.normal(size=(k, d))
+        logdets = np.array([
+            np.linalg.slogdet(post.precision + beta * np.outer(x, x))[1]
+            for x in features])
+        top = np.sort(logdets)[::-1]
+        # skip near-ties, where rounding may favour either candidate
+        assume(k == 1 or top[0] - top[1]
+               > 1e-9 * max(abs(top[0]), abs(top[1]), 1.0))
+        assert (select_instance(np.arange(k), features, post)
+                == int(np.argmax(logdets)))
 
 
 class TestDetShrinkage:

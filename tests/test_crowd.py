@@ -9,7 +9,6 @@ from crowdreg import (
     label_value,
     make_annotators,
     optimal_effort,
-    sample_label,
 )
 
 
@@ -37,6 +36,10 @@ class TestMakeAnnotators:
             make_annotators(3, 1, (0.0, 1.0), (1.0, 2.0), seed=0)
         with pytest.raises(InvalidInputError):
             make_annotators(3, 1, (0.5, 1.0), (2.0, 1.0), seed=0)
+        with pytest.raises(InvalidInputError):
+            make_annotators(3, 1, (0.1, np.inf), (1.0, 2.0), seed=0)
+        with pytest.raises(InvalidInputError):
+            make_annotators(3, 1, (0.1, 1.0), (1.0, np.inf), seed=0)
 
 
 class TestSampleLabel:
@@ -45,7 +48,7 @@ class TestSampleLabel:
         rng = np.random.default_rng(17)
         x = np.array([1.0, 2.0])
         w = np.array([0.5, 0.25])
-        draws = np.array([sample_label(profile, x, w, 4.0, rng)
+        draws = np.array([label_value(profile, float(w @ x), 4.0, rng)
                           for _ in range(10_000)])
         errors = draws - w @ x
         # sd is 0.5 at effort 4, so the mean of 1e4 draws sits within 4 SEM
@@ -61,10 +64,9 @@ class TestSampleLabel:
     def test_zero_weights_zero_mean(self):
         profile = AnnotatorProfile(0, best_precision=9.0)
         rng = np.random.default_rng(29)
-        draws = np.array([
-            sample_label(profile, np.array([5.0, -3.0]), np.zeros(2), 9.0, rng)
-            for _ in range(10_000)
-        ])
+        x, w = np.array([5.0, -3.0]), np.zeros(2)
+        draws = np.array([label_value(profile, float(w @ x), 9.0, rng)
+                          for _ in range(10_000)])
         assert abs(draws.mean()) <= 4 * (1.0 / 3.0) / 100
 
     def test_effort_above_ability_rejected(self):

@@ -52,43 +52,38 @@ class TestFitCenters:
 
 class TestTransform:
     def test_at_reference_point(self):
-        spec = TransformSpec(np.array([[1.0, 2.0]]), 1.0, "sigmoid")
+        spec = TransformSpec(np.array([[1.0, 2.0]]), 1.0)
         out = transform(np.array([1.0, 2.0]), spec)
         assert out == pytest.approx([0.5])
 
     def test_distance_equal_to_scale(self):
-        spec = TransformSpec(np.array([[0.0, 0.0]]), 2.0, "sigmoid")
+        spec = TransformSpec(np.array([[0.0, 0.0]]), 2.0)
         out = transform(np.array([0.0, 2.0]), spec)
         assert out[0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)))
         assert out[0] == pytest.approx(0.731059, abs=1e-6)
 
-    def test_linear_is_identity(self):
-        spec = TransformSpec(np.empty((0, 0)), 1.0, "linear")
-        x = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(transform(x, spec), x)
-
     def test_outputs_in_half_open_unit_band(self):
         rng = np.random.default_rng(1)
-        spec = TransformSpec(rng.normal(size=(4, 3)), 0.7, "sigmoid")
+        spec = TransformSpec(rng.normal(size=(4, 3)), 0.7)
         out = transform(rng.normal(size=(50, 3)), spec)
         assert np.all(out >= 0.5) and np.all(out < 1.0)
 
     def test_monotone_in_distance(self):
-        spec = TransformSpec(np.array([[0.0]]), 1.5, "sigmoid")
+        spec = TransformSpec(np.array([[0.0]]), 1.5)
         radii = np.linspace(0.0, 5.0, 20)[:, None]
         vals = transform(radii, spec)[:, 0]
         assert np.all(np.diff(vals) > 0)
 
     def test_dimension_mismatch(self):
-        spec = TransformSpec(np.zeros((2, 3)), 1.0, "sigmoid")
+        spec = TransformSpec(np.zeros((2, 3)), 1.0)
         with pytest.raises(InvalidInputError):
             transform(np.zeros(2), spec)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
-            TransformSpec(np.zeros((1, 1)), 0.0, "sigmoid")
+            TransformSpec(np.zeros((1, 1)), 0.0)
         with pytest.raises(InvalidInputError):
-            TransformSpec(np.zeros((1, 1)), 1.0, "cubic")
+            TransformSpec(np.zeros(2), 1.0)
 
 
 class TestNormalize:

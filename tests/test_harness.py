@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,12 +18,23 @@ from crowdreg import (
     rmse,
     run_experiment,
     summarize,
-    synthetic_linear,
 )
 from crowdreg import harness
 from crowdreg.harness import RoundRecord
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def synthetic_linear(n: int, d: int, seed, noise_sd: float = 0.0,
+                     weight_scale: float = 1.0):
+    """Plain linear ground truth; returns (X, targets, true weights)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    w = weight_scale * rng.normal(size=d)
+    y = X @ w
+    if noise_sd > 0:
+        y = y + rng.normal(0.0, noise_sd, size=n)
+    return X, y, w
 
 
 class TestLoadCsv:
@@ -73,6 +85,12 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_text("1,2,3\n4,5\n")
         with pytest.raises(DataFormatError, match="row 2"):
+            load_csv(path)
+
+    def test_non_utf8_file_is_named(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xff1,2,3\n4,5,6\n")
+        with pytest.raises(DataFormatError, match="data.csv: not UTF-8"):
             load_csv(path)
 
 
@@ -264,6 +282,8 @@ class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidInputError, match="unknown config keys"):
             ExperimentConfig.from_dict({"bogus": 1})
+        with pytest.raises(InvalidInputError, match="sigma_max"):
+            ExperimentConfig.from_dict({"sigma_max": 2.0})
 
     def test_from_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
@@ -298,6 +318,19 @@ class TestConfig:
         ({"round_sweeps": 0}, "round_sweeps"),
         ({"vi_tolerance": 0}, "vi_tolerance"),
         ({"output_format": "xml"}, "output_format"),
+        ({"payment_budget": math.inf}, "payment_budget"),
+        ({"payment_budget": 0}, "payment_budget"),
+        ({"u_override": -1}, "u_override"),
+        ({"u_override": math.inf}, "u_override"),
+        ({"beta_lower": 0.0}, "beta_lower"),
+        ({"beta_upper": math.inf}, "beta_upper"),
+        ({"interval_good": [0.1, math.inf]}, "interval_good"),
+        ({"interval_good": [0.0, 1.0]}, "interval_good"),
+        ({"interval_bad": [2.0, 1.0]}, "interval_bad"),
+        # the resolved band: beta_upper defaults to 1 / 0.1^2 = 100 and
+        # beta_lower to 1 / 2^2 = 0.25
+        ({"beta_lower": 200.0}, "beta_lower"),
+        ({"beta_upper": 0.1}, "beta_lower"),
     ])
     def test_from_dict_names_the_bad_key(self, values, key):
         with pytest.raises(InvalidInputError, match=f"config key '{key}'"):
@@ -366,6 +399,28 @@ class TestCli:
         proc = self.run_cli("run", "--config", str(config))
         assert proc.returncode == 1
         assert "error:" in proc.stderr and "budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_infinite_payment_budget_fails_cleanly(self, tmp_path):
+        # json reads Infinity; the run used to write inf and nan records
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"payment_budget": math.inf}))
+        out = tmp_path / "records.csv"
+        proc = self.run_cli("run", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and "payment_budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,name", [("--config", "bin.json"),
+                                           ("--data", "bin.csv")])
+    def test_non_utf8_file_fails_cleanly(self, tmp_path, flag, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff{}\n")
+        proc = self.run_cli("run", flag, str(path), "--budget", "1",
+                            "--out", str(tmp_path / "records.csv"))
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and name in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_config_file_with_overrides(self, tmp_path):

@@ -53,6 +53,10 @@ class TestPayment:
             PaymentScheme(0.0, 1.0, 2.0)
         with pytest.raises(InvalidInputError):
             PaymentScheme(1.0, 2.0, 2.0)
+        with pytest.raises(InvalidInputError, match="budget"):
+            PaymentScheme(np.inf, 1.0, 2.0)
+        with pytest.raises(InvalidInputError, match="beta_upper"):
+            PaymentScheme(1.0, 1.0, np.inf)
 
 
 class TestUtility:

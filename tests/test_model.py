@@ -126,15 +126,6 @@ class TestPrecisionUpdate:
         assert out.shape[0] == pytest.approx(1.5)
         assert out.rate[0] == pytest.approx(1.0, abs=1e-10)
 
-    def test_paper_literal_form_differs(self):
-        # same setup: the printed update keeps half of the cross term, which
-        # leaves an extra y*mu'x/2 = 0.5 in the rate
-        ds = CrowdDataset(np.array([[1.0, 0.0]]), {(0, 0): 1.0}, 1)
-        weights = WeightPosterior(np.array([1.0, 0.0]), 1e14 * np.eye(2))
-        out = vi_update_precision(ds, weights, PrecisionPosterior([1.0], [1.0]),
-                                  paper_literal_gamma_update=True)
-        assert out.rate[0] == pytest.approx(1.5, abs=1e-10)
-
     def test_wrong_length_prior_rejected(self):
         # one annotator, two prior factors; a length-1 prior for two
         # annotators would otherwise broadcast silently

@@ -67,7 +67,7 @@ def test_with_label_chain_matches_batch_build(problem, data):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
-def reference_sweep(X, m, labels, e, prior, prior_rates, paper_literal):
+def reference_sweep(X, m, labels, e, prior, prior_rates):
     """One sweep from the raw labels, one label at a time."""
     mean, prec = prior.mean, prior.precision
     if labels:
@@ -81,7 +81,7 @@ def reference_sweep(X, m, labels, e, prior, prior_rates, paper_literal):
     shapes = np.zeros(m)
     for (i, j), y in labels.items():
         fit = X[i] @ mean
-        cross = (1.0 if paper_literal else 2.0) * y * fit
+        cross = 2.0 * y * fit
         rates[j] += 0.5 * (y * y - cross + fit * fit + X[i] @ cov @ X[i])
         shapes[j] += 0.5
     return mean, prec, shapes, rates
@@ -98,23 +98,22 @@ def random_weights(rng, d):
 
 
 @PROPERTY
-@given(labeled_problems(), st.booleans())
-def test_one_sweep_equals_public_updates_and_reference(problem, paper_literal):
+@given(labeled_problems())
+def test_one_sweep_equals_public_updates_and_reference(problem):
     X, m, labels, rng = problem
     d = X.shape[1]
     ds = CrowdDataset(X, labels, m)
     prior, pprior = random_weights(rng, d), random_gamma(rng, m)
     start, start_gamma = random_weights(rng, d), random_gamma(rng, m)
     weights, gammas, report = fit_variational(
-        ds, prior, pprior, max_sweeps=1, warm_start=(start, start_gamma),
-        paper_literal_gamma_update=paper_literal)
+        ds, prior, pprior, max_sweeps=1, warm_start=(start, start_gamma))
     assert report.iterations == 1
 
     e = start_gamma.shape / start_gamma.rate
     composed = vi_update_weights(ds, e, prior)
-    composed_gammas = vi_update_precision(ds, composed, pprior, paper_literal)
+    composed_gammas = vi_update_precision(ds, composed, pprior)
     mean, prec, gained, rates = reference_sweep(
-        X, m, labels, e, prior, pprior.rate, paper_literal)
+        X, m, labels, e, prior, pprior.rate)
 
     for other in (composed.mean, mean):
         np.testing.assert_allclose(weights.mean, other, rtol=1e-10,
