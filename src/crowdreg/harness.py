@@ -144,7 +144,7 @@ class ExperimentConfig:
     """Everything a run needs; mirrors the config-file key names exactly.
 
     Construction checks each field's type and limits, then the resolved
-    payment band, and names the first offending key.
+    payment band and moment bound, and names the first offending key.
     """
 
     data_path: str | None = None
@@ -184,10 +184,8 @@ class ExperimentConfig:
                     f"config key {f.name!r} {requirement}, got {value!r}")
             if f.type.startswith("tuple"):
                 object.__setattr__(self, f.name, tuple(map(float, value)))
-        try:
-            self.scheme()
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"config key 'beta_lower': {exc}") from None
+        self.scheme()
+        self.moment_bound()
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -217,17 +215,42 @@ class ExperimentConfig:
         """u for the bandit: override, or 3 interval_bad[1]^4 (Gaussian noise)."""
         if self.u_override is not None:
             return float(self.u_override)
-        return 3.0 * self.interval_bad[1] ** 4
+        return _derived("interval_bad", self.interval_bad,
+                        "the moment bound 3 hi^4",
+                        lambda: 3.0 * self.interval_bad[1] ** 4)
 
     def scheme(self) -> PaymentScheme:
-        """Payment band; defaults bracket the configured noise intervals."""
+        """Payment band; defaults bracket the configured noise intervals:
+        1 / interval_bad[1]^2 below and 1 / interval_good[0]^2 above."""
         lower = self.beta_lower
         upper = self.beta_upper
         if lower is None:
-            lower = 1.0 / self.interval_bad[1] ** 2
+            lower = _derived("interval_bad", self.interval_bad,
+                             "the band end 1 / hi^2",
+                             lambda: 1.0 / self.interval_bad[1] ** 2)
         if upper is None:
-            upper = 1.0 / self.interval_good[0] ** 2
-        return PaymentScheme(self.payment_budget, lower, upper)
+            upper = _derived("interval_good", self.interval_good,
+                             "the band end 1 / lo^2",
+                             lambda: 1.0 / self.interval_good[0] ** 2)
+        try:
+            return PaymentScheme(self.payment_budget, lower, upper)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"config key 'beta_lower': {exc}") from None
+
+
+def _derived(key, interval, what, compute) -> float:
+    """``compute()`` if it is finite and > 0, else an error naming the config
+    ``key`` whose ``interval`` it derives from.  Python floats raise on
+    overflow in ``**`` and on division by a square that underflowed to 0."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise InvalidInputError(
+            f"config key {key!r}: {what} is not finite and > 0, got "
+            f"{interval!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -47,6 +47,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _cholesky(prec: np.ndarray, failure: str) -> np.ndarray:
+    """Lower Cholesky factor of ``prec`` from LAPACK's ``dpotrf``, with the
+    upper triangle left as it was.  A non-finite or not positive definite
+    ``prec`` raises :class:`NumericalFailureError` with the message
+    ``failure``.
+    """
+    if np.isfinite(prec).all():
+        factor, info = dpotrf(prec, lower=1, clean=0)
+        if info == 0:
+            return factor
+    raise NumericalFailureError(failure)
 
 
 def _check_label(i, j, y, n: int, m: int) -> float:
@@ -156,8 +169,9 @@ class WeightPosterior:
     """Gaussian factor over the weight vector: ``Normal(mean, precision^-1)``.
 
     The precision matrix must be symmetric (to 1e-10 relative) and positive
-    definite; construction fails otherwise.  The Cholesky factor is computed
-    once and cached, so repeated solves against the same posterior are cheap.
+    definite; construction fails otherwise.  Construction also computes the
+    Cholesky factor (LAPACK ``dpotrf``), against which :attr:`covariance` and
+    :meth:`quadform` solve with ``dpotrs``.
     """
 
     mean: np.ndarray
@@ -181,24 +195,27 @@ class WeightPosterior:
             raise InvalidInputError("precision matrix is not symmetric")
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "precision", _frozen_array(prec))
-        try:
-            self._chol
-        except LinAlgError:
-            raise NumericalFailureError(
-                "precision matrix is not positive definite"
-            ) from None
+        object.__setattr__(self, "_factor", _cholesky(
+            self.precision, "precision matrix is not positive definite"))
+
+    @classmethod
+    def _from_sweep(cls, mean, precision, factor, covariance):
+        """A posterior from one weight step's arrays, which are consistent by
+        construction: no checks, no second factorization."""
+        post = object.__new__(cls)
+        for a in (mean, precision, covariance):
+            a.setflags(write=False)
+        post.__dict__.update(mean=mean, precision=precision, _factor=factor,
+                             covariance=covariance)
+        return post
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     @cached_property
-    def _chol(self):
-        return cho_factor(self.precision, lower=True)
-
-    @cached_property
     def covariance(self) -> np.ndarray:
-        cov = cho_solve(self._chol, np.eye(self.dim))
+        cov, _ = dpotrs(self._factor, np.eye(self.dim), lower=1)
         return _frozen_array(0.5 * (cov + cov.T))
 
     def quadform(self, x: np.ndarray):
@@ -209,12 +226,16 @@ class WeightPosterior:
                 f"vector dimension {x.shape[-1]} does not match posterior "
                 f"dimension {self.dim}"
             )
+        if x.ndim not in (1, 2):
+            raise InvalidInputError(
+                "quadform expects a vector or a matrix of rows")
+        if not np.isfinite(x).all():
+            raise InvalidInputError("quadform input must be finite")
         if x.ndim == 1:
-            return float(max(x @ cho_solve(self._chol, x), 0.0))
-        if x.ndim == 2:
-            sols = cho_solve(self._chol, x.T)
-            return np.maximum(np.einsum("ij,ji->i", x, sols), 0.0)
-        raise InvalidInputError("quadform expects a vector or a matrix of rows")
+            sol, _ = dpotrs(self._factor, x, lower=1)
+            return float(max(x @ sol, 0.0))
+        sols, _ = dpotrs(self._factor, x.T, lower=1)
+        return np.maximum(np.einsum("ij,ji->i", x, sols), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,27 +282,33 @@ def expected_precision(posterior: PrecisionPosterior) -> np.ndarray:
     return posterior.shape / posterior.rate
 
 
-def _weight_step(stats, e, prior, prior_shift):
-    """(mean, precision, covariance) of q(w) given the expected annotator
-    precisions ``e``, or the prior's own arrays when no label carries weight.
+def _weight_rhs(prior: WeightPosterior) -> np.ndarray:
+    """``[P0 mu0 | I]``, Fortran-ordered: the right-hand side of every weight
+    step under ``prior`` before the labels' term joins the first column."""
+    rhs = np.empty((prior.dim, prior.dim + 1), order="F")
+    rhs[:, 0] = prior.precision @ prior.mean
+    rhs[:, 1:] = np.eye(prior.dim)
+    return rhs
+
+
+def _weight_step(stats, e, prior, rhs):
+    """(mean, precision, Cholesky factor, covariance) of q(w) given the
+    expected annotator precisions ``e``, or the prior's own arrays when no
+    label carries weight.  ``rhs`` is :func:`_weight_rhs` of the prior.
     With :func:`_rate_step` it makes one sweep; neither validates its input.
     """
     grams, xty, _, counts = stats
     if not counts @ e > 0:  # e >= 0: no labeled annotator has weight
-        return prior.mean, prior.precision, prior.covariance
+        return prior.mean, prior.precision, prior._factor, prior.covariance
     prec = prior.precision + (e @ grams).reshape(prior.dim, prior.dim)
     prec = 0.5 * (prec + prec.T)
-    try:
-        factor = cho_factor(prec, lower=True)
-    except LinAlgError:
-        raise NumericalFailureError(
-            "weight update produced a non positive definite precision"
-        ) from None
+    factor = _cholesky(prec, "weight update produced a non-finite or non "
+                             "positive definite precision")
     # One solve gives the mean (first column) and the covariance.
-    sol = cho_solve(factor, np.column_stack([prior_shift + e @ xty,
-                                             np.eye(prior.dim)]),
-                    check_finite=False)
-    return sol[:, 0], prec, 0.5 * (sol[:, 1:] + sol[:, 1:].T)
+    sol = rhs.copy(order="F")
+    sol[:, 0] += e @ xty
+    sol, _ = dpotrs(factor, sol, lower=1, overwrite_b=1)
+    return sol[:, 0], prec, factor, 0.5 * (sol[:, 1:] + sol[:, 1:].T)
 
 
 def _rate_step(stats, mean, cov, prior_rates):
@@ -323,9 +350,10 @@ def vi_update_weights(
             f"expected_betas must be {m} finite values >= 0, got {e!r}")
     if dataset.d != prior.dim:
         raise InvalidInputError("dataset and weight posterior dimensions differ")
-    mean, prec, _ = _weight_step(dataset._suffstats, e, prior,
-                                 prior.precision @ prior.mean)
-    return prior if prec is prior.precision else WeightPosterior(mean, prec)
+    step = _weight_step(dataset._suffstats, e, prior, _weight_rhs(prior))
+    if step[1] is prior.precision:
+        return prior
+    return WeightPosterior._from_sweep(*step)
 
 
 def vi_update_precision(
@@ -368,7 +396,10 @@ def fit_variational(
 
     The priors and the warm start are validated once, on entry.  Each sweep
     works on the dataset's stacked sufficient statistics and factors the
-    weight precision once; the posterior objects are built at the end.
+    weight precision once (LAPACK ``dpotrf``); one ``dpotrs`` call then gives
+    the mean and the covariance.  The returned weight posterior reuses the
+    last sweep's mean, precision, factor and covariance: it skips the
+    symmetry check and the factorization that the public constructor runs.
     """
     m = dataset.num_annotators
     if not tolerance > 0:
@@ -384,14 +415,14 @@ def fit_variational(
                 f"{weights.dim} and {precisions.shape.size}")
 
     stats = dataset._suffstats
-    prior_shift = weight_prior.precision @ weight_prior.mean
+    rhs = _weight_rhs(weight_prior)
     post_shapes = precision_priors.shape + dataset.label_counts / 2.0
     mean, prec = start.mean, start.precision
     shapes, rates = start_precisions.shape, start_precisions.rate
 
     for sweeps in range(1, max_sweeps + 1):
-        new_mean, new_prec, cov = _weight_step(
-            stats, shapes / rates, weight_prior, prior_shift)
+        new_mean, new_prec, factor, cov = _weight_step(
+            stats, shapes / rates, weight_prior, rhs)
         new_rates = _rate_step(stats, new_mean, cov, precision_priors.rate)
         delta = float(max(
             np.abs(new_mean - mean).max(), np.abs(new_prec - prec).max(),
@@ -400,7 +431,8 @@ def fit_variational(
         if delta < tolerance:
             break
 
-    weights = WeightPosterior(mean, prec) if dataset.total_labels else weight_prior
+    weights = (WeightPosterior._from_sweep(mean, prec, factor, cov)
+               if dataset.total_labels else weight_prior)
     return (weights, PrecisionPosterior(shapes, rates),
             FitReport(sweeps, delta < tolerance, delta))
 

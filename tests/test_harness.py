@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -150,6 +151,20 @@ class TestEmitRecords:
         assert list(objs[0]) == ["rep", "round", "instance", "annotator",
                                  "label", "accepted", "rmse", "regret",
                                  "discarded", "payment"]
+
+
+# SHA-256 of the CSV records of the default config (robust_ucb) at
+# repetitions=1, budget=20, taken on x86-64 Linux with numpy 2.4.6 and scipy
+# 1.17.1.  A refactor of the fit or the selection must leave it unchanged.
+GOLDEN_RECORDS_SHA256 = (
+    "da9347f4164f5e679cbe2f428665650ef63e9e87ca5df0b84083069c490c4d6b")
+
+
+def test_records_match_the_golden_digest(tmp_path):
+    path = tmp_path / "records.csv"
+    emit_records(run_experiment(ExperimentConfig(repetitions=1, budget=20)),
+                 path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORDS_SHA256
 
 
 def small_config(**overrides):
@@ -331,6 +346,14 @@ class TestConfig:
         # beta_lower to 1 / 2^2 = 0.25
         ({"beta_lower": 200.0}, "beta_lower"),
         ({"beta_upper": 0.1}, "beta_lower"),
+        # default band ends and moment bound whose power under- or overflows:
+        # 1 / lo^2 divides by an underflowed 0 at 1e-200 and is inf at 1e-160
+        ({"interval_good": [1e-200, 1.0]}, "interval_good"),
+        ({"interval_good": [1e-160, 1.0]}, "interval_good"),
+        ({"interval_bad": [1.0, 1e200]}, "interval_bad"),
+        ({"interval_bad": [1e-200, 1e-200]}, "interval_bad"),
+        ({"interval_bad": [1.0, 1e100], "interval_good": [1e-120, 1.0]},
+         "interval_bad"),
     ])
     def test_from_dict_names_the_bad_key(self, values, key):
         with pytest.raises(InvalidInputError, match=f"config key '{key}'"):
@@ -422,6 +445,17 @@ class TestCli:
         assert proc.returncode == 1
         assert "error:" in proc.stderr and name in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_tiny_good_interval_fails_cleanly(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"interval_good": [1e-200, 1.0]}))
+        out = tmp_path / "records.csv"
+        proc = self.run_cli("run", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "interval_good" in lines[0]
+        assert not out.exists()
 
     def test_config_file_with_overrides(self, tmp_path):
         config = tmp_path / "config.json"

@@ -61,6 +61,14 @@ class TestWeightPosterior:
         x = rng.normal(size=4)
         assert post.quadform(x) == pytest.approx(x @ np.linalg.solve(prec, x))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_quadform_rejects_non_finite_input(self, bad):
+        post = default_weight_prior(3)
+        with pytest.raises(InvalidInputError):
+            post.quadform(np.array([1.0, bad, 0.0]))
+        with pytest.raises(InvalidInputError):
+            post.quadform(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, bad]]))
+
 
 class TestWeightUpdate:
     def test_no_labels_returns_prior_exactly(self):

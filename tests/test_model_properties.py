@@ -1,28 +1,32 @@
-"""Property tests for the incremental dataset and the variational sweep."""
+"""Property tests for the incremental dataset, the variational sweep and
+its LAPACK Cholesky path."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from crowdreg import (
     CrowdDataset,
     InvalidInputError,
+    NumericalFailureError,
     PrecisionPosterior,
     WeightPosterior,
     fit_variational,
     vi_update_precision,
     vi_update_weights,
 )
+from crowdreg import model
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def labeled_problems(draw):
+def labeled_problems(draw, max_d=5):
     """Features, annotator count and a label map whose keys come in a random
     order (the order is the dict's insertion order)."""
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(1, max_d))
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -185,3 +189,109 @@ def test_with_label_rejects_bad_labels_and_keeps_original(problem, kind,
     assert ds.labels == labels
     for old, new in zip(before, ds._suffstats):
         assert np.array_equal(old, new)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric d x d matrix, d in 1..16: B B' + shift I with a shift that
+    leaves it positive definite, near singular or indefinite."""
+    d = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.normal(size=(d, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    gram = B @ B.T
+    low = np.linalg.eigvalsh(gram)[0]
+    shift = draw(st.sampled_from([1.0, 1e-12, 0.0, -1e-12, -1.0]))
+    prec = gram + (shift * max(abs(low), 1.0) - low) * np.eye(d)
+    return 0.5 * (prec + prec.T), rng
+
+
+def scipy_factor(prec):
+    """The factor from scipy's wrapper, or None where it raises."""
+    try:
+        return cho_factor(prec, lower=True)
+    except LinAlgError:
+        return None
+
+
+@PROPERTY
+@given(symmetric_matrices())
+def test_cholesky_path_equals_scipy_wrappers(problem):
+    prec, rng = problem
+    d = prec.shape[0]
+    reference = scipy_factor(prec)
+    if reference is None:
+        with pytest.raises(NumericalFailureError):
+            model._cholesky(prec, "not positive definite")
+        with pytest.raises(NumericalFailureError):
+            WeightPosterior(np.zeros(d), prec)
+        return
+    assert np.array_equal(model._cholesky(prec, ""), reference[0])
+    post = WeightPosterior(rng.normal(size=d), prec)
+    assert np.array_equal(post._factor, reference[0])
+    cov = cho_solve(reference, np.eye(d))
+    assert np.array_equal(post.covariance, 0.5 * (cov + cov.T))
+    rows = rng.normal(size=(int(rng.integers(1, 40)), d))
+    assert post.quadform(rows[0]) == max(rows[0] @ cho_solve(reference,
+                                                             rows[0]), 0.0)
+    assert np.array_equal(post.quadform(rows), np.maximum(np.einsum(
+        "ij,ji->i", rows, cho_solve(reference, rows.T)), 0.0))
+
+
+@PROPERTY
+@given(symmetric_matrices(), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.data())
+def test_cholesky_rejects_non_finite_entries(problem, bad, data):
+    prec, _ = problem
+    d = prec.shape[0]
+    i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+    prec = prec.copy()
+    prec[i, j] = bad  # the upper triangle too, which dpotrf does not read
+    with pytest.raises(NumericalFailureError):
+        model._cholesky(prec, "not finite")
+    with pytest.raises(InvalidInputError):
+        WeightPosterior(np.zeros(d), prec)
+
+
+def scipy_weight_step(stats, e, prior):
+    """The weight step as scipy's Cholesky wrappers computed it."""
+    grams, xty, _, _ = stats
+    prec = prior.precision + (e @ grams).reshape(prior.dim, prior.dim)
+    prec = 0.5 * (prec + prec.T)
+    factor = cho_factor(prec, lower=True)
+    sol = cho_solve(factor, np.column_stack([
+        prior.precision @ prior.mean + e @ xty, np.eye(prior.dim)]))
+    return sol[:, 0], prec, factor[0], 0.5 * (sol[:, 1:] + sol[:, 1:].T)
+
+
+@PROPERTY
+@given(labeled_problems(max_d=16))
+def test_weight_step_equals_scipy_wrappers(problem):
+    X, m, labels, rng = problem
+    assume(labels)
+    ds = CrowdDataset(X, labels, m)
+    prior = random_weights(rng, X.shape[1])
+    e = random_gamma(rng, m).shape
+    step = model._weight_step(ds._suffstats, e, prior, model._weight_rhs(prior))
+    for got, want in zip(step, scipy_weight_step(ds._suffstats, e, prior)):
+        assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(labeled_problems(max_d=16), st.integers(1, 4))
+def test_fitted_posterior_equals_public_constructor(problem, sweeps):
+    # the fit reuses its last sweep's factor and covariance; the public
+    # constructor recomputes both from the same mean and precision
+    X, m, labels, rng = problem
+    assume(labels)
+    ds = CrowdDataset(X, labels, m)
+    d = X.shape[1]
+    weights, _, _ = fit_variational(ds, random_weights(rng, d),
+                                    random_gamma(rng, m), max_sweeps=sweeps)
+    public = WeightPosterior(weights.mean, weights.precision)
+    assert np.array_equal(weights._factor, public._factor)
+    assert np.array_equal(weights.covariance, public.covariance)
+    rows = rng.normal(size=(int(rng.integers(1, 40)), d))
+    assert weights.quadform(rows[0]) == public.quadform(rows[0])
+    assert np.array_equal(weights.quadform(rows), public.quadform(rows))
+    for a in (weights.mean, weights.precision, weights.covariance):
+        assert not a.flags.writeable
