@@ -37,7 +37,8 @@ weights, precisions, report = fit_variational(
     dataset, default_weight_prior(d), default_precision_priors(m)
 )
 print(f"\nconverged={report.converged} after {report.iterations} sweeps "
-      f"(last parameter change {report.final_delta:.2e})")
+      f"(last relative change of a noise precision rate "
+      f"{report.final_delta:.2e})")
 
 print("\nweight recovery:")
 print("  true   ", w_true.round(3))

@@ -145,6 +145,12 @@ class ExperimentConfig:
 
     Construction checks each field's type and limits, then the resolved
     payment band and moment bound, and names the first offending key.
+
+    ``vi_tolerance`` is the relative change of the Gamma rates at which a
+    fit stops (:func:`~crowdreg.model.fit_variational`).  ``initial_sweeps``
+    caps the sweeps of the seed-pool fit and of each scale-search fit, and
+    ``round_sweeps`` those of each per-round refit; every sweep of the
+    accelerated fit counts, its stabilising sweeps included.
     """
 
     data_path: str | None = None

@@ -8,8 +8,9 @@ annotator precision give the mean-field approximation
     q(w) = Normal(mean, precision^-1),   q(beta_j) = Gamma(shape_j, rate_j).
 
 The weight update needs the expected annotator precisions and the precision
-updates need the weight moments, so :func:`fit_variational` alternates the two
-coordinate updates until no parameter moves more than a tolerance.
+updates need the weight moments, so :func:`fit_variational` iterates the two
+coordinate updates, accelerated by SQUAREM on the Gamma rates, until no rate
+moves more than a relative tolerance.
 """
 
 from __future__ import annotations
@@ -260,7 +261,13 @@ class PrecisionPosterior:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one variational fit."""
+    """Outcome of one variational fit.
+
+    ``iterations`` counts sweeps, that is evaluations of the rate map, the
+    SQUAREM stabilising sweeps included.  ``final_delta`` is the last kept
+    sweep's largest relative rate change, ``max |F(r) - r| / F(r)``, and
+    ``converged`` says whether it fell below the tolerance.
+    """
 
     iterations: int
     converged: bool
@@ -378,6 +385,38 @@ def vi_update_precision(
     return PrecisionPosterior(prior.shape + dataset.label_counts / 2.0, rates)
 
 
+def _elbo(shapes, rates, q, prior) -> float:
+    """Evidence lower bound, up to a constant, at the weight step's arrays
+    ``q`` = (mean, precision, factor, covariance) and the rates that
+    :func:`_rate_step` gives for that q(w).
+
+    With the shapes at their posterior values and the rates optimal for
+    q(w), the label and Gamma terms of the bound (Bishop, PRML section 10.3)
+    reduce to ``-shapes @ log(rates)`` plus a constant.  The weight terms are
+    ``-(tr(P0 cov) + (mean - mu0)' P0 (mean - mu0) + log det P) / 2``, and
+    ``log det P`` is twice the summed log of the factor's diagonal.
+    """
+    mean, _, factor, cov = q
+    dm = mean - prior.mean
+    return float(-shapes @ np.log(rates) - np.log(factor.diagonal()).sum()
+                 - 0.5 * ((prior.precision * cov).sum()
+                          + dm @ prior.precision @ dm))
+
+
+def _squarem_rates(r0, r1, r2):
+    """SQUAREM extrapolation of the rate iterates ``r0 -> r1 -> r2``
+    (Varadhan and Roland, Scand. J. Stat. 2008, step length
+    ``min(-1, -|s| / |v|)``), or None when ``v = 0`` or the extrapolated
+    rates are not all finite and positive."""
+    s, v = r1 - r0, r2 - 2.0 * r1 + r0
+    vv = v @ v
+    if not vv > 0:
+        return None
+    alpha = min(-1.0, -math.sqrt((s @ s) / vv))
+    trial = r0 - 2.0 * alpha * s + alpha * alpha * v
+    return trial if np.isfinite(trial).all() and trial.min() > 0 else None
+
+
 def fit_variational(
     dataset: CrowdDataset,
     weight_prior: WeightPosterior,
@@ -386,19 +425,32 @@ def fit_variational(
     max_sweeps: int = 200,
     warm_start: tuple[WeightPosterior, PrecisionPosterior] | None = None,
 ) -> tuple[WeightPosterior, PrecisionPosterior, FitReport]:
-    """Alternate the weight and precision updates until they stop moving.
+    """Iterate the weight and precision updates to their joint fixed point.
 
-    Convergence is declared when the largest absolute change across the weight
-    mean, weight precision and all Gamma parameters in one sweep falls below
-    ``tolerance``.  Hitting ``max_sweeps`` first is not an error; the report
-    records which happened.  ``warm_start`` seeds the sweep with posteriors
-    from a previous fit, which makes incremental refits cheap.
+    A sweep is the weight update at expected precisions ``shape / rate``
+    followed by the rate update: a map ``F`` from the m Gamma rates to new
+    rates, since the weight update is exact given the rates.  The first sweep
+    runs from ``warm_start`` (or the priors), which makes incremental refits
+    cheap.  Then each cycle runs two sweeps, ``r1 = F(r0)`` and
+    ``r2 = F(r1)``, and extrapolates the rates by SQUAREM (Varadhan and
+    Roland, Scand. J. Stat. 2008).  When the extrapolation ``r'`` is finite
+    and positive, one more sweep ``F(r')`` stabilises it, and that sweep is
+    kept only if the evidence lower bound there is not below the bound at
+    ``r0``; otherwise the cycle keeps ``r2``.
+
+    Convergence is declared when one sweep changes no Gamma rate by
+    ``tolerance`` or more relative to the new rate, ``max |F(r) - r| / F(r)``;
+    that change is the report's ``final_delta``.  A first sweep that changes
+    a Gamma shape (a label arrived since the warm start) never converges.
+    Every sweep counts against ``max_sweeps`` and in the report's
+    ``iterations``, the stabilising one included.  Hitting ``max_sweeps``
+    first is not an error; the report records which happened.
 
     The priors and the warm start are validated once, on entry.  Each sweep
     works on the dataset's stacked sufficient statistics and factors the
     weight precision once (LAPACK ``dpotrf``); one ``dpotrs`` call then gives
     the mean and the covariance.  The returned weight posterior reuses the
-    last sweep's mean, precision, factor and covariance: it skips the
+    kept sweep's mean, precision, factor and covariance: it skips the
     symmetry check and the factorization that the public constructor runs.
     """
     m = dataset.num_annotators
@@ -416,25 +468,43 @@ def fit_variational(
 
     stats = dataset._suffstats
     rhs = _weight_rhs(weight_prior)
-    post_shapes = precision_priors.shape + dataset.label_counts / 2.0
-    mean, prec = start.mean, start.precision
-    shapes, rates = start_precisions.shape, start_precisions.rate
+    shapes = precision_priors.shape + dataset.label_counts / 2.0
 
-    for sweeps in range(1, max_sweeps + 1):
-        new_mean, new_prec, factor, cov = _weight_step(
-            stats, shapes / rates, weight_prior, rhs)
-        new_rates = _rate_step(stats, new_mean, cov, precision_priors.rate)
-        delta = float(max(
-            np.abs(new_mean - mean).max(), np.abs(new_prec - prec).max(),
-            np.abs(post_shapes - shapes).max(), np.abs(new_rates - rates).max()))
-        mean, prec, shapes, rates = new_mean, new_prec, post_shapes, new_rates
-        if delta < tolerance:
-            break
+    def sweep(e, rates):
+        """F at expected precisions ``e``: the new rates, the weight step's
+        arrays and the relative rate change from ``rates``."""
+        q = _weight_step(stats, e, weight_prior, rhs)
+        new = _rate_step(stats, q[0], q[3], precision_priors.rate)
+        return new, q, float((np.abs(new - rates) / new).max())
 
-    weights = (WeightPosterior._from_sweep(mean, prec, factor, cov)
+    rates, q, delta = sweep(start_precisions.shape / start_precisions.rate,
+                            start_precisions.rate)
+    sweeps = 1
+    converged = (delta < tolerance
+                 and np.array_equal(shapes, start_precisions.shape))
+    while not converged and sweeps < max_sweeps:
+        r0, q0 = rates, q
+        for _ in range(2):  # r1 = F(r0), then r2 = F(r1)
+            r1 = rates
+            rates, q, delta = sweep(shapes / rates, rates)
+            sweeps += 1
+            converged = delta < tolerance
+            if converged or sweeps == max_sweeps:
+                break
+        else:
+            trial = _squarem_rates(r0, r1, rates)
+            if trial is not None:
+                stable = sweep(shapes / trial, trial)
+                sweeps += 1
+                if (_elbo(shapes, stable[0], stable[1], weight_prior)
+                        >= _elbo(shapes, r0, q0, weight_prior)):
+                    rates, q, delta = stable
+                    converged = delta < tolerance
+
+    weights = (WeightPosterior._from_sweep(*q)
                if dataset.total_labels else weight_prior)
     return (weights, PrecisionPosterior(shapes, rates),
-            FitReport(sweeps, delta < tolerance, delta))
+            FitReport(sweeps, converged, delta))
 
 
 def predictive(x: np.ndarray, weights: WeightPosterior) -> tuple[float, float]:

@@ -219,6 +219,26 @@ class TestFitVariational:
         assert report.converged and report.iterations == 1
         assert np.abs(again.mean - weights.mean).max() < 1e-8
 
+    def test_first_sweep_after_a_new_label_never_converges(self):
+        # a label the warm start predicts exactly barely moves the rates, but
+        # it raises its annotator's shape: the first sweep's weights used the
+        # old expected precision, so only a second sweep may converge
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(30, 2))
+        labels = {(i, i % 2): float(X[i, 0] + rng.normal()) for i in range(30)}
+        ds = CrowdDataset(X, labels, 2)
+        wprior = default_weight_prior(2)
+        pprior = default_precision_priors(2)
+        weights, precisions, _ = fit_variational(ds, wprior, pprior,
+                                                 tolerance=1e-10)
+        grown = ds.with_label(0, 1, float(X[0] @ weights.mean))
+        reports = [fit_variational(grown, wprior, pprior, tolerance=0.05,
+                                   max_sweeps=sweeps,
+                                   warm_start=(weights, precisions))[2]
+                   for sweeps in (1, 2)]
+        assert reports[0].final_delta < 0.05 and not reports[0].converged
+        assert reports[1].converged and reports[1].iterations == 2
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(25, 3))

@@ -1,11 +1,14 @@
-"""Property tests for the incremental dataset, the variational sweep and
-its LAPACK Cholesky path."""
+"""Property tests for the incremental dataset, the variational sweep, its
+LAPACK Cholesky path, the evidence lower bound and the accelerated fit."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.special import digamma, gammaln
 
 from crowdreg import (
     CrowdDataset,
@@ -295,3 +298,167 @@ def test_fitted_posterior_equals_public_constructor(problem, sweeps):
     assert np.array_equal(weights.quadform(rows), public.quadform(rows))
     for a in (weights.mean, weights.precision, weights.covariance):
         assert not a.flags.writeable
+
+
+def sweep_arrays(weights):
+    """A weight posterior as the (mean, precision, factor, covariance) tuple
+    that the sweep passes to ``model._elbo``."""
+    return (weights.mean, weights.precision, weights._factor,
+            weights.covariance)
+
+
+def full_elbo(X, labels, weights, gammas, prior, pprior):
+    """The whole evidence lower bound (Bishop, PRML section 10.3, with one
+    Gamma precision per annotator), term by term from the raw labels."""
+    mean, cov = weights.mean, weights.covariance
+    a, r, a0, b0 = gammas.shape, gammas.rate, pprior.shape, pprior.rate
+    e, log_beta = a / r, digamma(a) - np.log(r)  # E[beta], E[log beta]
+    d, log_2pi = mean.size, np.log(2 * np.pi)
+    labels_term = sum(
+        0.5 * (log_beta[j] - log_2pi
+               - e[j] * ((y - X[i] @ mean) ** 2 + X[i] @ cov @ X[i]))
+        for (i, j), y in labels.items())
+    dm, p0 = mean - prior.mean, prior.precision
+    weight_prior_term = 0.5 * (np.linalg.slogdet(p0)[1] - d * log_2pi
+                               - np.trace(p0 @ cov) - dm @ p0 @ dm)
+    gamma_prior_term = np.sum(a0 * np.log(b0) - gammaln(a0)
+                              + (a0 - 1) * log_beta - b0 * e)
+    weight_entropy = 0.5 * (d * (1 + log_2pi) + np.linalg.slogdet(cov)[1])
+    gamma_entropy = np.sum(a - np.log(r) + gammaln(a) + (1 - a) * digamma(a))
+    return (labels_term + weight_prior_term + gamma_prior_term
+            + weight_entropy + gamma_entropy)
+
+
+@PROPERTY
+@given(labeled_problems(), st.lists(st.floats(0.05, 20.0), min_size=4,
+                                    max_size=4, unique=True))
+def test_elbo_is_the_full_bound_up_to_one_constant(problem, scales):
+    # any q(w) from a weight step, with the rates that are optimal for it:
+    # the short form differs from the full bound by the same constant
+    X, m, labels, rng = problem
+    ds = CrowdDataset(X, labels, m)
+    prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
+    gaps, sizes = [], []
+    for scale in scales:
+        weights = vi_update_weights(ds, scale * rng.uniform(0.2, 1.0, m), prior)
+        gammas = vi_update_precision(ds, weights, pprior)
+        full = full_elbo(X, labels, weights, gammas, prior, pprior)
+        gaps.append(model._elbo(gammas.shape, gammas.rate,
+                                sweep_arrays(weights), prior) - full)
+        sizes.append(abs(full))
+    assert np.ptp(gaps) <= 1e-9 * (1.0 + max(sizes))
+
+
+@PROPERTY
+@given(labeled_problems(), st.floats(0.05, 20.0))
+def test_elbo_never_decreases_across_plain_sweeps(problem, scale):
+    X, m, labels, rng = problem
+    ds = CrowdDataset(X, labels, m)
+    prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
+    e = scale * rng.uniform(0.2, 1.0, m)
+    bounds = []
+    for _ in range(30):
+        weights = vi_update_weights(ds, e, prior)
+        gammas = vi_update_precision(ds, weights, pprior)
+        bounds.append(model._elbo(gammas.shape, gammas.rate,
+                                  sweep_arrays(weights), prior))
+        e = gammas.shape / gammas.rate
+    slack = 1e-9 * (1.0 + np.abs(bounds).max())
+    assert np.all(np.diff(bounds) >= -slack)
+
+
+def assert_close_to_max(got, want, rtol, scale=0.0):
+    """Entry-wise agreement to ``rtol`` of the largest reference entry, or
+    of ``scale`` when that is larger."""
+    assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), scale)
+
+
+@PROPERTY
+@given(labeled_problems())
+def test_accelerated_fit_reaches_the_plain_fixed_point(problem):
+    X, m, labels, rng = problem
+    ds = CrowdDataset(X, labels, m)
+    prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
+    weights, gammas, report = fit_variational(ds, prior, pprior,
+                                              tolerance=1e-10)
+    assert report.converged
+
+    # the reference stops at a relative rate change of 1e-11, above the
+    # rounding noise of the rate update's cancelling terms
+    plain = pprior
+    for _ in range(10_000):
+        plain_weights = vi_update_weights(ds, plain.shape / plain.rate, prior)
+        rates = plain.rate
+        plain = vi_update_precision(ds, plain_weights, pprior)
+        if (np.abs(plain.rate - rates) / plain.rate).max() < 1e-11:
+            break
+    else:
+        pytest.fail("the plain sweeps did not settle in 10,000 sweeps")
+
+    # a posterior mean near zero is compared on the scale of the posterior
+    # standard deviation: a mean of 3e-4 can carry an error of 2e-11
+    sd = np.sqrt(plain_weights.covariance.diagonal()).max()
+    assert_close_to_max(weights.mean, plain_weights.mean, 1e-8, sd)
+    assert_close_to_max(weights.precision, plain_weights.precision, 1e-8)
+    assert_close_to_max(gammas.rate, plain.rate, 1e-8)
+    assert np.array_equal(gammas.shape, plain.shape)
+
+
+@PROPERTY
+@given(labeled_problems(), st.floats(0.2, 5.0))
+def test_a_stabilised_step_is_kept_only_if_the_bound_does_not_fall(problem,
+                                                                   spread):
+    # force the extrapolation to a random point: the fourth sweep, F(trial),
+    # is kept when its bound is not below the bound after the first sweep,
+    # and the fit otherwise keeps the second plain step
+    X, m, labels, rng = problem
+    assume(labels)
+    ds = CrowdDataset(X, labels, m)
+    prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
+
+    def fit(sweeps):
+        return fit_variational(ds, prior, pprior, tolerance=1e-300,
+                               max_sweeps=sweeps)
+
+    first_weights, first, _ = fit(1)
+    _, plain, report = fit(3)
+    assume(report.iterations == 3 and not report.converged)
+    trial = plain.rate * spread ** rng.uniform(-1.0, 1.0, m)
+    trial_weights = vi_update_weights(ds, plain.shape / trial, prior)
+    stable = vi_update_precision(ds, trial_weights, pprior)
+    gain = (model._elbo(stable.shape, stable.rate,
+                        sweep_arrays(trial_weights), prior)
+            - model._elbo(first.shape, first.rate,
+                          sweep_arrays(first_weights), prior))
+    assume(abs(gain) > 1e-9)
+
+    with mock.patch.object(model, "_squarem_rates",
+                           lambda r0, r1, r2: trial):
+        weights, gammas, report = fit(4)
+    assert report.iterations == 4
+    kept = stable if gain >= 0 else plain
+    assert np.array_equal(gammas.rate, kept.rate)
+    if gain >= 0:
+        assert np.array_equal(weights.mean, trial_weights.mean)
+
+
+@PROPERTY
+@given(labeled_problems(), st.sampled_from([2.0 ** -10, 2.0 ** 10]))
+def test_the_stop_does_not_depend_on_the_label_units(problem, c):
+    # labels, prior mean and prior rates in units scaled by a power of two:
+    # the weights scale by c and the rates by c^2 exactly, and the relative
+    # stop takes the same number of sweeps
+    X, m, labels, rng = problem
+    prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
+    weights, gammas, report = fit_variational(CrowdDataset(X, labels, m),
+                                              prior, pprior)
+    scaled = CrowdDataset(X, {k: c * y for k, y in labels.items()}, m)
+    s_weights, s_gammas, s_report = fit_variational(
+        scaled, WeightPosterior(c * prior.mean, prior.precision / c ** 2),
+        PrecisionPosterior(pprior.shape, c ** 2 * pprior.rate))
+    assert (s_report.iterations, s_report.converged) == (report.iterations,
+                                                         report.converged)
+    np.testing.assert_allclose(s_weights.mean, c * weights.mean, rtol=1e-12,
+                               atol=1e-12 * c)
+    np.testing.assert_allclose(s_gammas.rate, c ** 2 * gammas.rate,
+                               rtol=1e-12)
