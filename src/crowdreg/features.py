@@ -34,8 +34,8 @@ class TransformSpec:
     scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise InvalidInputError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise InvalidInputError("scale must be finite and positive")
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise InvalidInputError(
@@ -47,10 +47,6 @@ class TransformSpec:
 
 def _squared_distances(X, centers):
     return cdist(X, centers, metric="sqeuclidean")
-
-
-def _kmeans_objective(X, centers, assign):
-    return float(((X - centers[assign]) ** 2).sum())
 
 
 def _resolve_empty(X, assign, k):
@@ -69,23 +65,17 @@ def _resolve_empty(X, assign, k):
 
 
 def _lloyd(X, centers, max_iter=100):
-    """Run Lloyd iterations from the given centers.
-
-    Returns the final centers and the objective value after every iteration
-    (useful for checking that iterations never increase the objective).
-    """
+    """Run Lloyd iterations from the given centers; returns the final centers."""
     k = centers.shape[0]
     assign = None
-    history = []
     for _ in range(max_iter):
         new_assign = np.argmin(_squared_distances(X, centers), axis=1)
         new_assign = _resolve_empty(X, new_assign, k)
         centers = np.vstack([X[new_assign == c].mean(axis=0) for c in range(k)])
-        history.append(_kmeans_objective(X, centers, new_assign))
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    return centers, history
+    return centers
 
 
 def fit_centers(X, k: int, seed) -> np.ndarray:
@@ -107,8 +97,7 @@ def fit_centers(X, k: int, seed) -> np.ndarray:
         )
     rng = np.random.default_rng(seed)
     init = distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
-    centers, _ = _lloyd(X, init)
-    return centers
+    return _lloyd(X, init)
 
 
 def transform(x, spec: TransformSpec) -> np.ndarray:

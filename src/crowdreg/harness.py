@@ -46,8 +46,8 @@ __all__ = [
 
 # Strategy -> (instance rule, annotator rule); the first is the default.
 # Instance rules: "variance" or "uniform" (a uniform random draw).  Annotator
-# rules: "ucb" (robust UCB bandit), "uniform" or "source" (one near-noiseless
-# annotator).
+# rules: "ucb" (robust UCB bandit), "uniform" or "source" (a uniform draw over
+# a population of one near-noiseless annotator, which _setup builds).
 _RULES = {
     "robust_ucb": ("variance", "ucb"),
     "random": ("uniform", "uniform"),
@@ -61,6 +61,10 @@ STRATEGIES = tuple(_RULES)
 _SPLIT, _KMEANS, _ANNOT, _STRATEGY, _LABEL, _SGRID = range(6)
 
 _SINGLE_SOURCE_SD = 0.01
+
+# Sweep cap of each warm-started per-round refit; the seed-pool and
+# scale-search fits run at fit_variational's defaults.
+_ROUND_SWEEPS = 50
 
 # Noise sd of the synthetic dataset's structural residual.
 _RESIDUAL_SD = 4.7
@@ -116,8 +120,8 @@ _TYPE_TESTS = {
 _LIMITS = {
     "transform": (lambda v, c: v in ("linear", "sigmoid"),
                   "must be 'linear' or 'sigmoid'"),
-    "s_grid": (lambda v, c: len(v) > 0 and min(v) > 0,
-               "must hold positive values"),
+    "s_grid": (lambda v, c: len(v) > 0 and all(0 < s < math.inf for s in v),
+               "must hold finite values > 0"),
     "test_fraction": (lambda v, c: 0 < v < 1, "must lie in (0, 1)"),
     "num_good": (lambda v, c: 0 <= v <= c.num_annotators,
                  "must lie in [0, num_annotators]"),
@@ -126,13 +130,11 @@ _LIMITS = {
     **dict.fromkeys(("interval_good", "interval_bad"),
                     (lambda v, c: 0 < v[0] <= v[1] < math.inf,
                      "must satisfy 0 < lo <= hi < inf")),
-    "vi_tolerance": (lambda v, c: v > 0, "must be > 0"),
     **dict.fromkeys(("payment_budget", "u_override", "beta_lower",
                      "beta_upper"),
                     (lambda v, c: v is None or 0 < v < math.inf,
                      "must be finite and > 0")),
-    **dict.fromkeys(("seed_pool_size", "num_annotators", "repetitions",
-                     "initial_sweeps", "round_sweeps"),
+    **dict.fromkeys(("seed_pool_size", "num_annotators", "repetitions"),
                     (lambda v, c: v >= 1, "must be >= 1")),
     **dict.fromkeys(("budget", "base_seed"),
                     (lambda v, c: v >= 0, "must be >= 0")),
@@ -145,12 +147,6 @@ class ExperimentConfig:
 
     Construction checks each field's type and limits, then the resolved
     payment band and moment bound, and names the first offending key.
-
-    ``vi_tolerance`` is the relative change of the Gamma rates at which a
-    fit stops (:func:`~crowdreg.model.fit_variational`).  ``initial_sweeps``
-    caps the sweeps of the seed-pool fit and of each scale-search fit, and
-    ``round_sweeps`` those of each per-round refit; every sweep of the
-    accelerated fit counts, its stabilising sweeps included.
     """
 
     data_path: str | None = None
@@ -172,10 +168,6 @@ class ExperimentConfig:
     base_seed: int = 0
     output_path: str | None = None
     output_format: str = FORMATS[0]
-    target_rmse: float | None = None
-    vi_tolerance: float = 1e-6
-    initial_sweeps: int = 200
-    round_sweeps: int = 50
 
     def __post_init__(self):
         for f in fields(self):
@@ -398,12 +390,10 @@ def _choose_scale(config, rep_seed, pool_features, centers, labels, m):
     best_s, best_err = None, np.inf
     for s in config.s_grid:
         spec = TransformSpec(centers, s)
-        phi = transform(pool_features, spec)
+        phi = transform(pool_features[:k], spec)
         ds = CrowdDataset(phi, train_labels, m)
         weights, _, _ = fit_variational(
-            ds, default_weight_prior(phi.shape[1]), default_precision_priors(m),
-            tolerance=config.vi_tolerance, max_sweeps=config.initial_sweeps,
-        )
+            ds, default_weight_prior(phi.shape[1]), default_precision_priors(m))
         err = rmse(phi[val_idx] @ weights.mean, val_target)
         if err < best_err:
             best_s, best_err = s, err
@@ -455,9 +445,7 @@ def _setup(config, data, rep_seed, k):
         pool_phi, test_phi = transform(pool_norm, spec), transform(test_norm, spec)
     dataset = CrowdDataset(pool_phi, labels, m)
     weights, precisions, _ = fit_variational(
-        dataset, default_weight_prior(dataset.d), default_precision_priors(m),
-        tolerance=config.vi_tolerance, max_sweeps=config.initial_sweeps,
-    )
+        dataset, default_weight_prior(dataset.d), default_precision_priors(m))
     return (test_phi, test_z, weights, precisions, dataset, pool_idx, pool_z,
             profiles, efforts)
 
@@ -494,9 +482,7 @@ def _run_repetition(config, data, rep):
     )]
 
     unlabeled = np.arange(seed_count, dataset.n)
-    for t in range(1, config.budget + 1):
-        if unlabeled.size == 0:
-            break  # pool exhausted before the budget; stop early
+    for t in range(1, min(config.budget, unlabeled.size) + 1):
         # instance first, then annotator: both may draw from strategy_rng
         if instance_rule == "uniform":
             pos = int(unlabeled[strategy_rng.integers(unlabeled.size)])
@@ -504,17 +490,14 @@ def _run_repetition(config, data, rep):
             pos = select_instance(unlabeled, pool_phi, weights)
         if annotator_rule == "ucb":
             j = bd.select_annotator(state)
-        elif annotator_rule == "source":
-            j = 0
-        else:
+        else:  # over the one-source population this is 0 and draws nothing
             j = int(strategy_rng.integers(m))
 
         y = label_value(profiles[j], float(pool_z[pos]), efforts[j],
                         _label_rng(rep_seed, j, pos))
         dataset = dataset.with_label(pos, j, y)
         weights, precisions, _ = fit_variational(
-            dataset, weight_prior, precision_priors,
-            tolerance=config.vi_tolerance, max_sweeps=config.round_sweeps,
+            dataset, weight_prior, precision_priors, max_sweeps=_ROUND_SWEEPS,
             warm_start=(weights, precisions),
         )
         accepted = True
@@ -526,13 +509,11 @@ def _run_repetition(config, data, rep):
         paid += float(settle(precisions, scheme)[j])
         unlabeled = unlabeled[unlabeled != pos]
 
-        test_rmse = rmse(test_phi @ weights.mean, test_z)
         records.append(RoundRecord(
-            rep, t, int(pool_idx[pos]), j, float(y), accepted, test_rmse,
-            bd.regret_seq(ledger), discarded, paid,
+            rep, t, int(pool_idx[pos]), j, float(y), accepted,
+            rmse(test_phi @ weights.mean, test_z), bd.regret_seq(ledger),
+            discarded, paid,
         ))
-        if config.target_rmse is not None and test_rmse <= config.target_rmse:
-            break
     return records
 
 
@@ -546,9 +527,9 @@ def _load_data(config):
 def run_experiment(config: ExperimentConfig):
     """Run every repetition of the configured protocol; returns all records.
 
-    Identical (config, base seed) pairs yield identical record streams.  If
-    the unlabeled pool runs dry before the budget, the repetition stops early
-    and simply emits fewer rounds.
+    Identical (config, base seed) pairs yield identical record streams.  A
+    repetition runs ``budget`` rounds, or fewer if the unlabeled pool runs
+    dry first.
     """
     data = _load_data(config)
     records = []

@@ -41,8 +41,13 @@ class TestFitCenters:
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(80, 2))
         init = pts[rng.choice(80, 4, replace=False)]
-        _, history = _lloyd(pts, init)
-        assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+        # nearest-center objective of the centers after t iterations
+        objective = [
+            float(((pts[:, None, :] - _lloyd(pts, init, max_iter=t)) ** 2)
+                  .sum(axis=2).min(axis=1).sum())
+            for t in range(1, 30)
+        ]
+        assert all(b <= a + 1e-9 for a, b in zip(objective, objective[1:]))
 
     def test_k_larger_than_distinct_points_rejected(self):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
@@ -82,6 +87,8 @@ class TestTransform:
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
             TransformSpec(np.zeros((1, 1)), 0.0)
+        with pytest.raises(InvalidInputError, match="finite"):
+            TransformSpec(np.zeros((1, 1)), np.inf)
         with pytest.raises(InvalidInputError):
             TransformSpec(np.zeros(2), 1.0)
 
