@@ -29,8 +29,12 @@ def instance_score(x, weights: WeightPosterior) -> float:
 def select_instance(candidates, features, weights: WeightPosterior) -> int:
     """The candidate row of ``features`` with the largest score.
 
-    ``candidates`` is an integer index array into the rows of ``features``;
-    ties go to the lowest index.
+    The score is the predictive variance ``x' cov x`` against the posterior
+    covariance, computed for every row of ``features`` by one matrix product
+    and read at the candidates.  ``candidates`` is an integer index array
+    into the rows of ``features``; ties go to the lowest index.  A
+    non-finite candidate row raises :class:`InvalidInputError`; rows outside
+    ``candidates`` are not checked.
     """
     candidates = np.asarray(candidates)
     if candidates.size == 0:
@@ -41,7 +45,15 @@ def select_instance(candidates, features, weights: WeightPosterior) -> int:
     if (candidates.ndim != 1 or candidates.dtype.kind not in "iu"
             or candidates.min() < 0 or candidates.max() >= features.shape[0]):
         raise InvalidInputError("candidates must be row indices of features")
-    scores = weights.quadform(features[candidates])
+    # a non-finite row outside the candidates must not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        scores = np.einsum("ij,ij->i", features @ weights.covariance,
+                           features)[candidates]
+    # a non-finite score means a non-finite row, or a finite one overflowing
+    if not (np.isfinite(scores).all()
+            or np.isfinite(features[candidates]).all()):
+        raise InvalidInputError("candidate rows must be finite")
+    scores = np.maximum(scores, 0.0)
     return int(candidates[scores == scores.max()].min())
 
 

@@ -436,7 +436,8 @@ def fit_variational(
     Roland, Scand. J. Stat. 2008).  When the extrapolation ``r'`` is finite
     and positive, one more sweep ``F(r')`` stabilises it, and that sweep is
     kept only if the evidence lower bound there is not below the bound at
-    ``r0``; otherwise the cycle keeps ``r2``.
+    ``r0``; otherwise the cycle keeps ``r2``.  A kept stabilising sweep's
+    bound is the next cycle's bound at ``r0`` and is not computed again.
 
     Convergence is declared when one sweep changes no Gamma rate by
     ``tolerance`` or more relative to the new rate, ``max |F(r) - r| / F(r)``;
@@ -482,8 +483,10 @@ def fit_variational(
     sweeps = 1
     converged = (delta < tolerance
                  and np.array_equal(shapes, start_precisions.shape))
+    bound = None  # the bound at (rates, q), when a kept sweep computed it
     while not converged and sweeps < max_sweeps:
-        r0, q0 = rates, q
+        r0, q0, bound0 = rates, q, bound
+        bound = None
         for _ in range(2):  # r1 = F(r0), then r2 = F(r1)
             r1 = rates
             rates, q, delta = sweep(shapes / rates, rates)
@@ -496,9 +499,12 @@ def fit_variational(
             if trial is not None:
                 stable = sweep(shapes / trial, trial)
                 sweeps += 1
-                if (_elbo(shapes, stable[0], stable[1], weight_prior)
-                        >= _elbo(shapes, r0, q0, weight_prior)):
+                if bound0 is None:
+                    bound0 = _elbo(shapes, r0, q0, weight_prior)
+                trial_bound = _elbo(shapes, stable[0], stable[1], weight_prior)
+                if trial_bound >= bound0:
                     rates, q, delta = stable
+                    bound = trial_bound
                     converged = delta < tolerance
 
     weights = (WeightPosterior._from_sweep(*q)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -76,6 +78,51 @@ class TestSelectInstance:
         for bad in ([3], [-1], [[0, 1]], [1.0]):
             with pytest.raises(InvalidInputError):
                 select_instance(bad, features, default_weight_prior(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_candidate_rows(self, bad):
+        features = np.ones((4, 3))
+        features[2, 1] = bad
+        with pytest.raises(InvalidInputError):
+            select_instance([0, 2], features, default_weight_prior(3))
+
+    def test_rows_outside_candidates_are_not_checked(self):
+        # the bad rows are scored with the rest but must not raise or warn
+        features = np.ones((5, 3))
+        features[1] = [np.inf, 1.0, -np.inf]
+        features[3, 2] = np.nan
+        features[4] = [3.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_instance([0, 2, 4], features,
+                                   default_weight_prior(3)) == 4
+
+    def test_tie_at_the_block_edge_breaks_to_lower_index(self):
+        # the top row sits at a low index and again at the last one, where a
+        # matrix product runs its edge kernels
+        rng = np.random.default_rng(21)
+        post = random_posterior(rng, 16)
+        features = rng.normal(size=(7001, 16))
+        features[[5, 7000]] = 10.0 * features[0]
+        candidates = np.arange(7001)[::-1]
+        assert select_instance(candidates, features, post) == 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 300), st.data(),
+           st.integers(0, 2**32 - 1))
+    def test_picks_the_largest_instance_score(self, d, n, data, seed):
+        rng = np.random.default_rng(seed)
+        post = random_posterior(rng, d)
+        features = rng.normal(size=(n, d))
+        candidates = np.array(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+        scores = np.array([instance_score(features[c], post)
+                           for c in candidates])
+        top = np.sort(scores)[::-1]
+        # skip near-ties, where rounding may favour either candidate
+        assume(top.size == 1 or top[0] - top[1] > 1e-9 * top[0])
+        assert (select_instance(candidates, features, post)
+                == candidates[np.argmax(scores)])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 30), st.floats(0.05, 10.0),

@@ -324,44 +324,68 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(repetitions=0)
 
+    # explicit ids, so that deleting a case renames no other; they keep the
+    # positional ids the cases were first collected under
     @pytest.mark.parametrize("values,key", [
-        ({"budget": "10"}, "budget"),
-        ({"budget": 2.5}, "budget"),
-        ({"budget": True}, "budget"),
-        ({"s_grid": 2.0}, "s_grid"),
-        ({"s_grid": [1.0, "2"]}, "s_grid"),
-        ({"interval_good": [0.1]}, "interval_good"),
-        ({"test_fraction": "0.3"}, "test_fraction"),
-        ({"data_path": 3}, "data_path"),
-        ({"num_annotators": 0}, "num_annotators"),
-        ({"num_good": 60}, "num_good"),
-        ({"num_good": -1}, "num_good"),
+        pytest.param({"budget": "10"}, "budget", id="values0-budget"),
+        pytest.param({"budget": 2.5}, "budget", id="values1-budget"),
+        pytest.param({"budget": True}, "budget", id="values2-budget"),
+        pytest.param({"s_grid": 2.0}, "s_grid", id="values3-s_grid"),
+        pytest.param({"s_grid": [1.0, "2"]}, "s_grid", id="values4-s_grid"),
+        pytest.param({"interval_good": [0.1]}, "interval_good",
+                     id="values5-interval_good"),
+        pytest.param({"test_fraction": "0.3"}, "test_fraction",
+                     id="values6-test_fraction"),
+        pytest.param({"data_path": 3}, "data_path", id="values7-data_path"),
+        pytest.param({"num_annotators": 0}, "num_annotators",
+                     id="values8-num_annotators"),
+        pytest.param({"num_good": 60}, "num_good", id="values9-num_good"),
+        pytest.param({"num_good": -1}, "num_good", id="values10-num_good"),
         # a NaN or an inf anywhere in the grid is no scale; [] holds none
-        ({"s_grid": [1.0, math.nan]}, "s_grid"),
-        ({"s_grid": [1.0, math.inf]}, "s_grid"),
-        ({"s_grid": []}, "s_grid"),
-        ({"output_format": "xml"}, "output_format"),
-        ({"payment_budget": math.inf}, "payment_budget"),
-        ({"payment_budget": 0}, "payment_budget"),
-        ({"u_override": -1}, "u_override"),
-        ({"u_override": math.inf}, "u_override"),
-        ({"beta_lower": 0.0}, "beta_lower"),
-        ({"beta_upper": math.inf}, "beta_upper"),
-        ({"interval_good": [0.1, math.inf]}, "interval_good"),
-        ({"interval_good": [0.0, 1.0]}, "interval_good"),
-        ({"interval_bad": [2.0, 1.0]}, "interval_bad"),
+        pytest.param({"s_grid": [1.0, math.nan]}, "s_grid",
+                     id="values11-s_grid"),
+        pytest.param({"s_grid": [1.0, math.inf]}, "s_grid",
+                     id="values12-s_grid"),
+        pytest.param({"s_grid": []}, "s_grid", id="values13-s_grid"),
+        pytest.param({"output_format": "xml"}, "output_format",
+                     id="values14-output_format"),
+        pytest.param({"payment_budget": math.inf}, "payment_budget",
+                     id="values15-payment_budget"),
+        pytest.param({"payment_budget": 0}, "payment_budget",
+                     id="values16-payment_budget"),
+        pytest.param({"u_override": -1}, "u_override",
+                     id="values17-u_override"),
+        pytest.param({"u_override": math.inf}, "u_override",
+                     id="values18-u_override"),
+        pytest.param({"beta_lower": 0.0}, "beta_lower",
+                     id="values19-beta_lower"),
+        pytest.param({"beta_upper": math.inf}, "beta_upper",
+                     id="values20-beta_upper"),
+        pytest.param({"interval_good": [0.1, math.inf]}, "interval_good",
+                     id="values21-interval_good"),
+        pytest.param({"interval_good": [0.0, 1.0]}, "interval_good",
+                     id="values22-interval_good"),
+        pytest.param({"interval_bad": [2.0, 1.0]}, "interval_bad",
+                     id="values23-interval_bad"),
         # the resolved band: beta_upper defaults to 1 / 0.1^2 = 100 and
         # beta_lower to 1 / 2^2 = 0.25
-        ({"beta_lower": 200.0}, "beta_lower"),
-        ({"beta_upper": 0.1}, "beta_lower"),
+        pytest.param({"beta_lower": 200.0}, "beta_lower",
+                     id="values24-beta_lower"),
+        pytest.param({"beta_upper": 0.1}, "beta_lower",
+                     id="values25-beta_lower"),
         # default band ends and moment bound whose power under- or overflows:
         # 1 / lo^2 divides by an underflowed 0 at 1e-200 and is inf at 1e-160
-        ({"interval_good": [1e-200, 1.0]}, "interval_good"),
-        ({"interval_good": [1e-160, 1.0]}, "interval_good"),
-        ({"interval_bad": [1.0, 1e200]}, "interval_bad"),
-        ({"interval_bad": [1e-200, 1e-200]}, "interval_bad"),
-        ({"interval_bad": [1.0, 1e100], "interval_good": [1e-120, 1.0]},
-         "interval_bad"),
+        pytest.param({"interval_good": [1e-200, 1.0]}, "interval_good",
+                     id="values26-interval_good"),
+        pytest.param({"interval_good": [1e-160, 1.0]}, "interval_good",
+                     id="values27-interval_good"),
+        pytest.param({"interval_bad": [1.0, 1e200]}, "interval_bad",
+                     id="values28-interval_bad"),
+        pytest.param({"interval_bad": [1e-200, 1e-200]}, "interval_bad",
+                     id="values29-interval_bad"),
+        pytest.param({"interval_bad": [1.0, 1e100],
+                      "interval_good": [1e-120, 1.0]}, "interval_bad",
+                     id="values30-interval_bad"),
     ])
     def test_from_dict_names_the_bad_key(self, values, key):
         with pytest.raises(InvalidInputError, match=f"config key '{key}'"):

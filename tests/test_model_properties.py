@@ -462,3 +462,28 @@ def test_the_stop_does_not_depend_on_the_label_units(problem, c):
                                atol=1e-12 * c)
     np.testing.assert_allclose(s_gammas.rate, c ** 2 * gammas.rate,
                                rtol=1e-12)
+
+
+@PROPERTY
+@given(labeled_problems())
+def test_the_bound_is_computed_once_per_kept_state(problem):
+    # a kept stabilising sweep's bound is the next cycle's bound at r0: no
+    # weight step's arrays reach the bound twice
+    X, m, labels, rng = problem
+    ds = CrowdDataset(X, labels, m)
+    prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
+    seen = []
+
+    def spy(shapes, rates, q, weight_prior):
+        seen.append(q)
+        return elbo(shapes, rates, q, weight_prior)
+
+    elbo = model._elbo
+    with mock.patch.object(model, "_elbo", spy):
+        spied = fit_variational(ds, prior, pprior, tolerance=1e-12)
+    assert len({id(q) for q in seen}) == len(seen)
+    weights, gammas, report = fit_variational(ds, prior, pprior,
+                                              tolerance=1e-12)
+    assert report == spied[2]
+    assert np.array_equal(gammas.rate, spied[1].rate)
+    assert np.array_equal(weights.mean, spied[0].mean)
