@@ -50,7 +50,10 @@ def _squared_distances(X, centers):
 
 
 def _resolve_empty(X, assign, k):
-    """Give every empty cluster the farthest point of the largest cluster."""
+    """Give every empty cluster the farthest point of the largest cluster.
+
+    Returns the repaired assignment and its cluster sizes.
+    """
     counts = np.bincount(assign, minlength=k)
     while np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
@@ -61,17 +64,29 @@ def _resolve_empty(X, assign, k):
         assign[far] = empty
         counts[empty] += 1
         counts[donor] -= 1
-    return assign
+    return assign, counts
 
 
 def _lloyd(X, centers, max_iter=100):
-    """Run Lloyd iterations from the given centers; returns the final centers."""
-    k = centers.shape[0]
+    """Run Lloyd iterations from the given centers; returns the final centers.
+
+    Each centroid step sums the clusters column by column with ``bincount``,
+    adding rows in order from 0.0 as the masked mean ``X[mask].mean(axis=0)``
+    does for two or more columns, so the centers match it to the bit.
+    """
+    k, d = centers.shape
+    columns = np.ascontiguousarray(X.T)  # bincount reads contiguous weights
     assign = None
     for _ in range(max_iter):
-        new_assign = np.argmin(_squared_distances(X, centers), axis=1)
-        new_assign = _resolve_empty(X, new_assign, k)
-        centers = np.vstack([X[new_assign == c].mean(axis=0) for c in range(k)])
+        new_assign, counts = _resolve_empty(
+            X, np.argmin(_squared_distances(X, centers), axis=1), k)
+        if d == 1:  # a one-column masked mean sums pairwise, not row by row
+            centers = np.vstack([X[new_assign == c].mean(axis=0)
+                                 for c in range(k)])
+        else:
+            sums = [np.bincount(new_assign, weights=column, minlength=k)
+                    for column in columns]
+            centers = np.column_stack(sums) / counts[:, None]
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign

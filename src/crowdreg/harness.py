@@ -267,14 +267,52 @@ class RoundRecord:
     payment: float
 
 
+def _parses(cell) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_csv(path):
     """Numeric matrix from a comma-separated file; final column is the target.
 
     A header row is detected by a non-numeric first row and skipped.  Any
     unparseable or non-finite (``nan``, ``inf``) cell in a data row raises
-    with its 1-based line (blank lines count) and column.  Rows are converted
-    as they are read, so the file's text is never held whole.
+    with its 1-based line (blank lines count) and column.
+
+    Fast path: the first non-blank row is read with the csv module to tell a
+    header from data, and the rest of the file (all of it when there is no
+    header) goes to numpy's C reader.  Its matrix is returned when it has a
+    row, at least 2 columns and only finite values.  Any other outcome (a
+    cell the C reader cannot parse, a quoted cell, a ragged row, a
+    whitespace-only line, a non-finite value, no data) sends the file to the
+    row-by-row reader, which returns the same matrix or raises the located
+    error.  Both readers round each cell as ``float`` does, so the two paths
+    agree to the bit.
     """
+    import warnings  # numpy has imported it already
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            if all(map(_parses, next(filter(None, csv.reader(fh)), ()))):
+                fh.seek(0)  # no header: the first row is data
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. "input contained no data"
+                matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                    dtype=float)
+        except (ValueError, Warning, csv.Error):
+            matrix = None
+    if (matrix is not None and matrix.shape[0] >= 1 and matrix.shape[1] >= 2
+            and np.isfinite(matrix).all()):
+        return matrix
+    return _load_csv_located(path)
+
+
+def _load_csv_located(path):
+    """``load_csv``'s row-by-row reader: converts rows as they are read and
+    names the 1-based line (blank lines count) and column of a bad cell."""
     values, width, header = array("d"), None, False
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -219,24 +219,20 @@ class WeightPosterior:
         cov, _ = dpotrs(self._factor, np.eye(self.dim), lower=1)
         return _frozen_array(0.5 * (cov + cov.T))
 
-    def quadform(self, x: np.ndarray):
-        """``x' precision^-1 x`` for a vector, or row-wise for a matrix."""
+    def quadform(self, x: np.ndarray) -> float:
+        """``x' precision^-1 x`` for one vector."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
+        if x.ndim != 1:
+            raise InvalidInputError("quadform expects a vector")
+        if x.shape[0] != self.dim:
             raise InvalidInputError(
-                f"vector dimension {x.shape[-1]} does not match posterior "
+                f"vector dimension {x.shape[0]} does not match posterior "
                 f"dimension {self.dim}"
             )
-        if x.ndim not in (1, 2):
-            raise InvalidInputError(
-                "quadform expects a vector or a matrix of rows")
         if not np.isfinite(x).all():
             raise InvalidInputError("quadform input must be finite")
-        if x.ndim == 1:
-            sol, _ = dpotrs(self._factor, x, lower=1)
-            return float(max(x @ sol, 0.0))
-        sols, _ = dpotrs(self._factor, x.T, lower=1)
-        return np.maximum(np.einsum("ij,ji->i", x, sols), 0.0)
+        sol, _ = dpotrs(self._factor, x, lower=1)
+        return float(max(x @ sol, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from crowdreg import (
     InvalidInputError,
@@ -9,7 +12,7 @@ from crowdreg import (
     normalize,
     transform,
 )
-from crowdreg.features import _lloyd
+from crowdreg.features import _lloyd, _resolve_empty
 
 
 class TestFitCenters:
@@ -53,6 +56,59 @@ class TestFitCenters:
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(InvalidInputError):
             fit_centers(pts, 3, seed=0)
+
+
+def masked_mean_lloyd(X, centers, max_iter=100):
+    """Lloyd's algorithm with each centroid the masked mean of its cluster."""
+    k = centers.shape[0]
+    assign = None
+    for _ in range(max_iter):
+        new_assign, _ = _resolve_empty(
+            X, np.argmin(cdist(X, centers, "sqeuclidean"), axis=1), k)
+        centers = np.vstack([X[new_assign == c].mean(axis=0)
+                             for c in range(k)])
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centers
+
+
+@st.composite
+def kmeans_problems(draw):
+    """Rows drawn with repeats from a few distinct points, in C or Fortran
+    order, with k up to the number of distinct rows."""
+    d = draw(st.integers(1, 20))
+    base = np.array(draw(st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
+        min_size=1, max_size=12)))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
+                          max_size=60))
+    X = base[picks]
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    k = draw(st.integers(1, np.unique(X, axis=0).shape[0]))
+    return X, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kmeans_problems())
+def test_fit_centers_equals_the_masked_mean_reference(problem):
+    X, k, seed = problem
+    distinct = np.unique(X, axis=0)
+    init = distinct[np.random.default_rng(seed).choice(
+        distinct.shape[0], size=k, replace=False)]
+    got = fit_centers(X, k, seed)
+    assert got.tobytes() == masked_mean_lloyd(X, init).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kmeans_problems(), st.integers(1, 5))
+def test_lloyd_equals_the_reference_after_empty_cluster_repair(problem, far):
+    # centers far from every row start empty, so the repair must run
+    X, k, _ = problem
+    far = min(far, X.shape[0] - k)
+    init = np.vstack([X[:k], np.full((far, X.shape[1]), 1e6)])
+    assert _lloyd(X, init).tobytes() == masked_mean_lloyd(X, init).tobytes()
 
 
 class TestTransform:

@@ -67,7 +67,12 @@ class TestWeightPosterior:
         with pytest.raises(InvalidInputError):
             post.quadform(np.array([1.0, bad, 0.0]))
         with pytest.raises(InvalidInputError):
-            post.quadform(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, bad]]))
+            post.quadform(np.array([0.0, 0.0, bad]))
+
+    def test_quadform_takes_one_vector(self):
+        post = default_weight_prior(3)
+        with pytest.raises(InvalidInputError, match="expects a vector"):
+            post.quadform(np.eye(3))
 
 
 class TestWeightUpdate:
