@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import bandit as bd
 from .crowd import AnnotatorProfile, label_value, make_annotators
@@ -403,7 +404,107 @@ def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12):
 
 
 def _label_rng(rep_seed: int, annotator: int, instance: int):
+    """The label stream of ``annotator`` on pool row ``instance``: a PCG64
+    seeded by ``SeedSequence([rep_seed, _LABEL, annotator, instance])``.
+    ``_label_rngs`` yields the same Generators for a block of pairs."""
     return np.random.default_rng([rep_seed, _LABEL, annotator, instance])
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx),
+# frozen by NEP 19 so that a seed gives the same stream in every release.
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(init, mult):
+    """SeedSequence's ``hashmix`` over uint32 arrays, with its running
+    constant: each call uses and advances the constant, as numpy's does.
+    Every operand is ``np.uint32``, so numpy 1.x and NEP 50 agree."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    result ^= result >> np.uint32(16)
+    return result
+
+
+def _label_words(rep_seed, annotators, instances):
+    """Row ``p`` is ``SeedSequence([rep_seed, _LABEL, annotators[p],
+    instances[p]]).generate_state(4, np.uint64)``.
+
+    numpy's entropy mix (pool size 4) and ``generate_state`` run once over
+    uint32 columns for the whole block.  The entropy is ``rep_seed`` split
+    into little-endian 32-bit words as numpy splits an int, then ``_LABEL``,
+    the annotator and the instance, each of which must lie below 2^32.  The
+    hash constants do not depend on the data, so every row takes the same
+    steps; the uint32 intermediates are dropped on return.
+    """
+    n = len(annotators)
+    seed_words, rest = [], int(rep_seed)
+    while True:
+        seed_words.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    # the constant words are one-element columns, which broadcast
+    entropy = [np.full(1, w, dtype=np.uint32) for w in seed_words + [_LABEL]]
+    entropy += [np.asarray(annotators, dtype=np.uint32),
+                np.asarray(instances, dtype=np.uint32)]
+    hashmix = _hashmix(_HASH_INIT_A, _HASH_MULT_A)
+    # rep_seed's words and 3 more fill the pool, so numpy's zero padding
+    # never applies
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # a rep_seed of 2^32 or more
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    state = np.empty((n, 8), dtype="<u4")
+    hashmix = _hashmix(_HASH_INIT_B, _HASH_MULT_B)
+    for k in range(8):
+        state[:, k] = hashmix(pool[k % 4])
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+class _LabelSeed(ISeedSequence):
+    """One row of ``_label_words`` standing in for the SeedSequence it was
+    hashed from: PCG64 asks it for ``generate_state(4, np.uint64)`` only."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise NotImplementedError("only generate_state(4, np.uint64)")
+        return self.words
+
+
+def _label_rngs(rep_seed, annotators, instances):
+    """Yield, in order, the Generator ``_label_rng(rep_seed, j, i)`` builds
+    for each pair of the equal-length ``annotators`` and ``instances``.
+
+    Both share the ``SeedSequence([rep_seed, _LABEL, j, i])`` contract, but
+    the hash runs once for the block (``_label_words``); numpy still seeds
+    each PCG64 and draws.  Generators are built one at a time, as the
+    caller asks for them, so a block costs one array of words in memory.
+    """
+    for words in _label_words(rep_seed, annotators, instances):
+        yield np.random.Generator(np.random.PCG64(_LabelSeed(words)))
 
 
 def _choose_scale(config, rep_seed, pool_features, centers, labels, m):
@@ -469,10 +570,15 @@ def _setup(config, data, rep_seed, k):
     m = len(profiles)
     efforts = np.array([p.best_precision for p in profiles])
     labels = {}
-    for i in range(pool_idx.size)[:k]:
+    rows = range(pool_idx.size)[:k]
+    rngs = _label_rngs(rep_seed,
+                       np.tile(np.arange(m, dtype=np.uint32), len(rows)),
+                       np.repeat(np.arange(len(rows), dtype=np.uint32), m))
+    for i in rows:
         for j, profile in enumerate(profiles):
             labels[(i, j)] = label_value(profile, float(pool_z[i]), efforts[j],
-                                         _label_rng(rep_seed, j, i))
+                                         next(rngs))
+    del rngs  # and with it the block's words, before the fit
 
     pool_phi, test_phi = pool_norm, test_norm
     if config.transform == "sigmoid":

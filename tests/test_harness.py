@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -521,6 +522,61 @@ class TestFullFit:
                                s_grid=(0.5, 1.0), num_annotators=8, num_good=6)
         scores = full_fit(cfg)
         assert len(scores) == 1 and np.isfinite(scores[0])
+
+    # float.hex of the scores with every label drawn from its own
+    # default_rng([rep_seed, _LABEL, j, i]); any other label bits move them
+    def test_scores_are_pinned_to_the_bit(self):
+        assert [s.hex() for s in full_fit(ExperimentConfig(repetitions=3))] == [
+            "0x1.2671cb0b6f479p+2", "0x1.36c3b22072c0bp+2",
+            "0x1.540741207b4e1p+2"]
+        cfg = ExperimentConfig(repetitions=3, transform="sigmoid",
+                               s_grid=(0.5, 1.0, 2.0), num_annotators=8,
+                               num_good=6)
+        assert [s.hex() for s in full_fit(cfg)] == [
+            "0x1.e43dfdaaddf5bp+2", "0x1.e48fa278b06ecp+2",
+            "0x1.0883ae096c990p+3"]
+
+
+# rep_seed ranges giving numpy 1-, 2- and 3-word seeds
+_REP_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                       st.integers(2**64, 2**96 - 1))
+_INDICES = st.integers(0, 2**31 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rep_seed=_REP_SEEDS,
+       pairs=st.lists(st.tuples(_INDICES, _INDICES), min_size=1, max_size=4))
+def test_label_block_equals_the_per_label_streams(rep_seed, pairs):
+    annotators, instances = (np.array(column) for column in zip(*pairs))
+    words = harness._label_words(rep_seed, annotators, instances)
+    rngs = harness._label_rngs(rep_seed, annotators, instances)
+    for (j, i), row, rng in zip(pairs, words, rngs, strict=True):
+        seq = np.random.SeedSequence([rep_seed, harness._LABEL, j, i])
+        assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
+        assert (rng.normal().hex()
+                == harness._label_rng(rep_seed, j, i).normal().hex())
+
+
+def test_label_block_draws_in_bounded_memory():
+    # the default full pool, 354 rows by 50 annotators; a list of its
+    # Generators alone would take about 14 MB
+    m, rows = 50, 354
+    annotators, instances = np.tile(np.arange(m), rows), np.repeat(
+        np.arange(rows), m)
+    tracemalloc.start()
+    try:
+        for rng in harness._label_rngs(0, annotators, instances):
+            rng.normal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_label_seed_only_seeds_pcg64():
+    seed = harness._LabelSeed(np.zeros(4, dtype=np.uint64))
+    with pytest.raises(NotImplementedError):
+        seed.generate_state(624)
 
 
 class TestCli:
