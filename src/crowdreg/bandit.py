@@ -100,19 +100,30 @@ def truncated_mean(samples, threshold: float) -> tuple[float, int]:
 
 def _ucb_values(state: BanditState) -> np.ndarray:
     """Every arm's index: truncated mean plus sqrt(32 u log t / n_j).  An
-    unpulled arm gets +inf, which forces one exploration pull each."""
-    values = np.full(state.num_annotators, np.inf)
-    pulled = state.pulls > 0
-    if np.any(pulled):
-        log_t = max(math.log(state.t), 0.0)
-        width = np.sqrt(32.0 * state.u * log_t / state.pulls[pulled])
-        values[pulled] = state.truncated_means[pulled] + width
+    unpulled arm gets +inf, which forces one exploration pull each.
+
+    One pass over whole arrays.  Each pulled arm gets c / n_j, then the
+    square root, then + mean; those operations, in that order, fix the bits
+    of every index and so of every pull."""
+    t = state.t
+    if t < 1:
+        if np.any(state.pulls > 0):
+            raise InvalidInputError(
+                f"round counter t={t} is below 1 but an arm has been pulled")
+        t = 1  # log 1 = 0; no arm is pulled, so the width is never read
+    pulls = state.pulls
+    values = np.empty(state.num_annotators)
+    values.fill(np.inf)
+    np.divide(32.0 * state.u * math.log(t), pulls, out=values,
+              where=pulls > 0)
+    np.sqrt(values, out=values)
+    values += state.truncated_means
     return values
 
 
 def select_annotator(state: BanditState) -> int:
     """Annotator with the largest index; ties go to the lowest index."""
-    return int(np.argmax(_ucb_values(state)))
+    return int(_ucb_values(state).argmax())
 
 
 def _admit(state: BanditState, j: int, residual_sqs, threshold: float) -> None:

@@ -612,8 +612,11 @@ def _run_repetition(config, data, rep):
     if annotator_rule == "ucb":
         horizon = max(seed_count * m + config.budget, 2)
         state = bd.BanditState(m, config.moment_bound(), horizon=horizon)
+        # per-row dot products, as the round loop takes them: a matrix
+        # product could round differently
+        predictions = [weights.mean @ pool_phi[i] for i in range(seed_count)]
         bd.initialize_state(state, [
-            [(dataset.labels[(i, j)] - weights.mean @ pool_phi[i]) ** 2
+            [(dataset.labels[(i, j)] - predictions[i]) ** 2
              for i in range(seed_count)]
             for j in range(m)
         ])

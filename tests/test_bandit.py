@@ -11,6 +11,7 @@ from crowdreg import (
     InvalidInputError,
     RegretLedger,
     initialize_state,
+    make_annotators,
     record_outcome,
     regret_bound,
     regret_seq,
@@ -88,6 +89,44 @@ class TestUcbIndex:
         state.truncated_means[0] = -2.5
         state.t = 1
         assert bandit._ucb_values(state)[0] == pytest.approx(-2.5)
+
+    def test_pulled_arm_before_round_one_is_located(self):
+        state = BanditState(3, 1.0, horizon=10)
+        state.pulls[1] = 2  # hand-built: a pull but no round played
+        with pytest.raises(InvalidInputError, match="round counter t=0"):
+            select_annotator(state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_masked_formula_to_the_bit(self, data):
+        def masked_reference(state):
+            values = np.full(state.num_annotators, np.inf)
+            pulled = state.pulls > 0
+            if np.any(pulled):
+                log_t = max(math.log(state.t), 0.0)
+                width = np.sqrt(32.0 * state.u * log_t / state.pulls[pulled])
+                values[pulled] = state.truncated_means[pulled] + width
+            return values
+
+        m = data.draw(st.integers(1, 60), label="m")
+        # few distinct pulls and means, so equal indices (ties) are common
+        pulls = data.draw(st.lists(st.integers(0, 4) | st.integers(0, 10**6),
+                                   min_size=m, max_size=m), label="pulls")
+        means = data.draw(st.lists(
+            st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-1e6, 1e6),
+            min_size=m, max_size=m), label="means")
+        state = BanditState(m, data.draw(st.floats(1e-3, 1e6), label="u"),
+                            horizon=10)
+        state.pulls[:] = pulls
+        state.truncated_means[:] = means
+        state.t = data.draw(st.integers(1, 10**9), label="t")
+        with np.errstate(all="raise"):
+            reference = masked_reference(state)
+            values = bandit._ucb_values(state)
+            chosen = select_annotator(state)
+        assert np.array_equal(values, reference)
+        assert chosen == int(np.argmax(reference))
+        assert chosen == np.flatnonzero(reference == reference.max())[0]
 
 
 class TestSelectAnnotator:
@@ -255,6 +294,31 @@ class TestDiscardedCount:
         assert record_outcome(state, 0, 0.5) is True
         assert state.pulls[0] - state.accepted_counts[0] == 0
         assert state.discarded == 1
+
+
+class TestCriterion06Pin:
+    def test_two_thousand_pulls_are_pinned_to_the_bit(self):
+        # the criterion-06 population played alone; the values were taken
+        # from the masked-index implementation
+        profiles = make_annotators(5, 3, (0.1, 1.0), (1.0, 2.0), seed=123)
+        betas = np.array([p.best_precision for p in profiles])
+        sds = 1.0 / np.sqrt(betas)
+        rng = np.random.default_rng([0, 99])
+        state = BanditState(5, 3.0 * 2.0**4, horizon=2000)
+        ledger = RegretLedger.from_precisions(betas)
+        for _ in range(2000):
+            j = select_annotator(state)
+            residual = rng.normal(0.0, sds[j])
+            record_outcome(state, j, residual * residual)
+            ledger.record_pull(j)
+        assert ledger.pulls.tolist() == [407, 490, 478, 303, 322]
+        assert state.pulls.tolist() == ledger.pulls.tolist()
+        assert state.discarded == 0
+        assert regret_seq(ledger).hex() == "0x1.0fc6682f17494p+10"
+        assert [mean.hex() for mean in state.truncated_means] == [
+            "-0x1.0024d901b75ebp-1", "-0x1.8bf807f22dd3fp-6",
+            "-0x1.6adff71cf64e8p-4", "-0x1.5971891be8c37p+0",
+            "-0x1.2a5976d07576fp+0"]
 
 
 class TestRegretAccounting:
