@@ -12,7 +12,7 @@ from crowdreg import (
     WeightPosterior,
     det_shrinkage,
     error_contraction_bounds,
-    instance_score,
+    predictive,
     select_instance,
 )
 
@@ -27,7 +27,7 @@ posterior = WeightPosterior(rng.normal(size=d), precision)
 pool = rng.normal(size=(8, d))  # one candidate per row
 print("pool scores (predictive variance):")
 for i, x in enumerate(pool):
-    print(f"  candidate {i}: {instance_score(x, posterior):.4f}")
+    print(f"  candidate {i}: {predictive(x, posterior)[1]:.4f}")
 
 winner = select_instance(np.arange(len(pool)), pool, posterior)
 print(f"\nselected candidate: {winner}")

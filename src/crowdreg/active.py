@@ -6,35 +6,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, PoolExhaustedError
-from .model import WeightPosterior
+from .model import WeightPosterior, predictive
 
-__all__ = [
-    "instance_score",
-    "select_instance",
-    "det_shrinkage",
-    "error_contraction_bounds",
-]
-
-
-def instance_score(x, weights: WeightPosterior) -> float:
-    """Predictive-variance score ``x' precision^-1 x`` (nonnegative)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != weights.dim:
-        raise InvalidInputError(
-            f"candidate must be a vector of dimension {weights.dim}"
-        )
-    return weights.quadform(x)
+__all__ = ["select_instance", "det_shrinkage", "error_contraction_bounds"]
 
 
 def select_instance(candidates, features, weights: WeightPosterior) -> int:
     """The candidate row of ``features`` with the largest score.
 
-    The score is the predictive variance ``x' cov x`` against the posterior
-    covariance, computed for every row of ``features`` by one matrix product
-    and read at the candidates.  ``candidates`` is an integer index array
-    into the rows of ``features``; ties go to the lowest index.  A
-    non-finite candidate row raises :class:`InvalidInputError`; rows outside
-    ``candidates`` are not checked.
+    The score is the predictive variance ``x' cov x`` of :func:`predictive`,
+    computed against the posterior covariance for every row of ``features``
+    by one matrix product and read at the candidates.  ``candidates`` is an
+    integer index array into the rows of ``features``; ties go to the lowest
+    index.  A non-finite candidate row raises :class:`InvalidInputError`;
+    rows outside ``candidates`` are not checked.
     """
     candidates = np.asarray(candidates)
     if candidates.size == 0:
@@ -67,7 +52,7 @@ def det_shrinkage(weights: WeightPosterior, x, beta: float) -> float:
     """
     if not beta > 0:
         raise InvalidInputError("beta must be positive")
-    return 1.0 / (1.0 + beta * instance_score(x, weights))
+    return 1.0 / (1.0 + beta * predictive(x, weights)[1])
 
 
 def error_contraction_bounds(weights: WeightPosterior, x,

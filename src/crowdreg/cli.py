@@ -19,22 +19,22 @@ def _build_parser():
         description="Active learning for regression from a noisy crowd",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags both subcommands take
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON config file")
+    shared.add_argument("--data",
+                        help="CSV data file (last column is the target)")
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--reps", type=int)
 
-    run = sub.add_parser("run", help="run the active-learning protocol")
-    run.add_argument("--config", help="JSON config file")
-    run.add_argument("--data", help="CSV data file (last column is the target)")
+    run = sub.add_parser("run", parents=[shared],
+                         help="run the active-learning protocol")
     run.add_argument("--strategy", choices=STRATEGIES)
     run.add_argument("--budget", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--reps", type=int)
     run.add_argument("--out", help="record file path")
     run.add_argument("--format", choices=FORMATS)
-
-    fit = sub.add_parser("fit", help="fit on the full pool and report RMSE")
-    fit.add_argument("--data", help="CSV data file (last column is the target)")
-    fit.add_argument("--config", help="JSON config file")
-    fit.add_argument("--seed", type=int)
-    fit.add_argument("--reps", type=int)
+    sub.add_parser("fit", parents=[shared],
+                   help="fit on the full pool and report RMSE")
     return parser
 
 
@@ -53,10 +53,7 @@ def _config_from_args(args) -> ExperimentConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _run(args) -> int:
-    config = _config_from_args(args)
-    if config.data_path is None:
-        print("no data file given; using the built-in synthetic dataset")
+def _run(config: ExperimentConfig) -> int:
     records = run_experiment(config)
     out_path = config.output_path or f"records.{config.output_format}"
     emit_records(records, out_path, config.output_format)
@@ -68,10 +65,7 @@ def _run(args) -> int:
     return 0
 
 
-def _fit(args) -> int:
-    config = _config_from_args(args)
-    if config.data_path is None:
-        print("no data file given; using the built-in synthetic dataset")
+def _fit(config: ExperimentConfig) -> int:
     scores = full_fit(config)
     for rep, score in enumerate(scores):
         print(f"rep={rep} rmse={score:.9g}")
@@ -82,9 +76,10 @@ def _fit(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _run(args)
-        return _fit(args)
+        config = _config_from_args(args)
+        if config.data_path is None:
+            print("no data file given; using the built-in synthetic dataset")
+        return (_run if args.command == "run" else _fit)(config)
     except (CrowdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .mechanism import PaymentScheme, payment
+from .mechanism import PaymentScheme, utility
 
 __all__ = [
     "CostFunction",
@@ -143,7 +143,7 @@ def optimal_effort(profile: AnnotatorProfile, scheme: PaymentScheme,
         raise InvalidInputError("strategic annotator needs a cost function")
     top = min(profile.best_precision, 1.5 * scheme.beta_upper)
     candidates = np.linspace(0.0, top, grid)
-    utilities = payment(candidates, scheme) - profile.cost(candidates)
+    utilities = utility(candidates, profile.cost, scheme)
     best = int(np.argmax(utilities))
     if utilities[best] > 0:
         return float(candidates[best]), True

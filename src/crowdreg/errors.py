@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CrowdError",
+    "InvalidInputError",
+    "NumericalFailureError",
+    "PoolExhaustedError",
+    "DataFormatError",
+]
+
 
 class CrowdError(Exception):
     """Base class for every package-specific error."""

@@ -279,9 +279,10 @@ def _parses(cell) -> bool:
 def load_csv(path):
     """Numeric matrix from a comma-separated file; final column is the target.
 
-    A header row is detected by a non-numeric first row and skipped.  Any
-    unparseable or non-finite (``nan``, ``inf``) cell in a data row raises
-    with its 1-based line (blank lines count) and column.
+    A leading UTF-8 byte-order mark is dropped.  A header row is detected by
+    a non-numeric first row and skipped.  Any unparseable or non-finite
+    (``nan``, ``inf``) cell in a data row raises with its 1-based line (blank
+    lines count) and column.
 
     Fast path: the first non-blank row is read with the csv module to tell a
     header from data, and the rest of the file (all of it when there is no
@@ -295,7 +296,7 @@ def load_csv(path):
     """
     import warnings  # numpy has imported it already
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             if all(map(_parses, next(filter(None, csv.reader(fh)), ()))):
                 fh.seek(0)  # no header: the first row is data
@@ -315,7 +316,7 @@ def _load_csv_located(path):
     """``load_csv``'s row-by-row reader: converts rows as they are read and
     names the 1-based line (blank lines count) and column of a bad cell."""
     values, width, header = array("d"), None, False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             for row in filter(None, reader):

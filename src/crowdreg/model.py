@@ -172,7 +172,7 @@ class WeightPosterior:
     The precision matrix must be symmetric (to 1e-10 relative) and positive
     definite; construction fails otherwise.  Construction also computes the
     Cholesky factor (LAPACK ``dpotrf``), against which :attr:`covariance` and
-    :meth:`quadform` solve with ``dpotrs``.
+    :func:`predictive` solve with ``dpotrs``.
     """
 
     mean: np.ndarray
@@ -218,21 +218,6 @@ class WeightPosterior:
     def covariance(self) -> np.ndarray:
         cov, _ = dpotrs(self._factor, np.eye(self.dim), lower=1)
         return _frozen_array(0.5 * (cov + cov.T))
-
-    def quadform(self, x: np.ndarray) -> float:
-        """``x' precision^-1 x`` for one vector."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise InvalidInputError("quadform expects a vector")
-        if x.shape[0] != self.dim:
-            raise InvalidInputError(
-                f"vector dimension {x.shape[0]} does not match posterior "
-                f"dimension {self.dim}"
-            )
-        if not np.isfinite(x).all():
-            raise InvalidInputError("quadform input must be finite")
-        sol, _ = dpotrs(self._factor, x, lower=1)
-        return float(max(x @ sol, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,12 +497,15 @@ def fit_variational(
 def predictive(x: np.ndarray, weights: WeightPosterior) -> tuple[float, float]:
     """Posterior predictive mean and variance for a test point.
 
-    The label of ``x`` is Gaussian with mean ``x @ posterior mean`` and
-    variance ``x' precision^-1 x`` (zero only for ``x = 0``).
+    The label of a finite vector ``x`` is Gaussian with mean
+    ``x @ posterior mean`` and variance ``x' precision^-1 x`` (zero only for
+    ``x = 0``), solved against the posterior's Cholesky factor.  The
+    variance is the instance-selection score of :mod:`crowdreg.active`.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != weights.dim:
+    if x.ndim != 1 or x.shape[0] != weights.dim or not np.isfinite(x).all():
         raise InvalidInputError(
-            f"test point must be a vector of dimension {weights.dim}"
+            f"test point must be a finite vector of dimension {weights.dim}"
         )
-    return float(x @ weights.mean), weights.quadform(x)
+    sol, _ = dpotrs(weights._factor, x, lower=1)
+    return float(x @ weights.mean), float(max(x @ sol, 0.0))

@@ -1,4 +1,4 @@
-"""Smoke test: every quick demo script runs to completion."""
+"""Smoke test: every demo script runs to completion."""
 
 import os
 import subprocess
@@ -9,13 +9,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Demo 06 runs the full strategy comparison (6-10 s); the run_experiment
-# tests in test_harness.py already cover the code it calls.
-DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +27,7 @@ from crowdreg import (
     run_experiment,
     summarize,
 )
-from crowdreg import harness
+from crowdreg import bandit, harness
 from crowdreg.harness import RoundRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +101,18 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="data.csv: not UTF-8"):
             load_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one; it must not make
+        # the first data row unparseable and so a header
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n7,8,9\n")
+        assert np.array_equal(load_csv(path), [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        path.write_bytes(b"\xef\xbb\xbfa,b,y\n1,2,3\n")
+        assert np.array_equal(load_csv(path), [[1, 2, 3]])
+        path.write_bytes(b"\xef\xbb\xbf1,2,3\n4,x,6\n")
+        with pytest.raises(DataFormatError, match=r"row 2, column 2"):
+            load_csv(path)
+
     def test_clean_file_skips_the_located_reader(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"x, y ,z\r\n\r\n 1.5,\t-2e-3,3\r\n4,5 ,6\r\n")
@@ -132,7 +145,8 @@ _ANY_CELL = st.builds(lambda a, core, b: a + core + b, _PAD,
 def csv_texts(draw):
     """CSV text, clean or with the faults the readers must agree on: odd
     cells, ragged rows, trailing commas, whitespace-only lines, too few
-    columns or rows.  Blank lines, padding, CRLF and a header are in both."""
+    columns or rows.  Blank lines, padding, CRLF, a header and a leading
+    byte-order mark are in both."""
     faulty = draw(st.booleans())
     width = draw(st.integers(1, 5) if faulty else st.integers(2, 5))
     lines = []
@@ -155,7 +169,8 @@ def csv_texts(draw):
             row = ",".join(draw(st.lists(cell, min_size=n, max_size=n)))
             lines.append(row + ("," if kind == "trailing" else ""))
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + draw(st.sampled_from(["", end]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + end.join(lines) + draw(st.sampled_from(["", end]))
 
 
 def _read_outcome(read, path):
@@ -400,6 +415,30 @@ class TestRunExperiment:
     def test_single_source_has_zero_regret(self):
         records = run_experiment(small_config(strategy="single_source"))
         assert all(r.regret == 0.0 for r in records)
+
+    def test_bandit_premise_holds_on_realizable_data(self, tmp_path):
+        # targets exactly linear in the features: a round's residual is then
+        # annotator noise alone, so the rewards' raw second moment E[r^4]
+        # stays within the u the harness sets, and the bandit pays off
+        X, _ = harness.synthetic_housing_like(0)
+        Xc = X - X.mean(0)
+        w = np.random.default_rng(5).normal(size=12)
+        y = Xc @ (w * (8.0 / (Xc @ w).std()))
+        path = tmp_path / "realizable.csv"
+        np.savetxt(path, np.column_stack([X, y]), fmt="%.17g", delimiter=",")
+        for seed in range(3):
+            config = ExperimentConfig(data_path=str(path), repetitions=3,
+                                      base_seed=seed)
+            with mock.patch.object(bandit, "record_outcome",
+                                   wraps=bandit.record_outcome) as spy:
+                ucb = summarize(run_experiment(config))
+            residual_sq = np.array([c.args[2] for c in spy.call_args_list])
+            assert residual_sq.size == 3 * config.budget
+            assert np.mean(residual_sq ** 2) <= config.moment_bound()
+            uniform = summarize(run_experiment(
+                replace(config, strategy="instance_only")))
+            assert (np.mean([row[2] for row in ucb])
+                    < np.mean([row[2] for row in uniform]))
 
 
 class TestConfig:

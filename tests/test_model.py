@@ -53,27 +53,6 @@ class TestWeightPosterior:
         with pytest.raises(NumericalFailureError):
             WeightPosterior(np.zeros(2), -np.eye(2))
 
-    def test_quadform_matches_direct_solve(self):
-        rng = np.random.default_rng(0)
-        A = rng.normal(size=(4, 4))
-        prec = A @ A.T + 0.5 * np.eye(4)
-        post = WeightPosterior(np.zeros(4), prec)
-        x = rng.normal(size=4)
-        assert post.quadform(x) == pytest.approx(x @ np.linalg.solve(prec, x))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_quadform_rejects_non_finite_input(self, bad):
-        post = default_weight_prior(3)
-        with pytest.raises(InvalidInputError):
-            post.quadform(np.array([1.0, bad, 0.0]))
-        with pytest.raises(InvalidInputError):
-            post.quadform(np.array([0.0, 0.0, bad]))
-
-    def test_quadform_takes_one_vector(self):
-        post = default_weight_prior(3)
-        with pytest.raises(InvalidInputError, match="expects a vector"):
-            post.quadform(np.eye(3))
-
 
 class TestWeightUpdate:
     def test_no_labels_returns_prior_exactly(self):
@@ -313,9 +292,34 @@ class TestPredictive:
         assert mean == pytest.approx(0.0)
         assert var == pytest.approx(2.0)
 
+    def test_diagonal_hand_value(self):
+        post = WeightPosterior(np.zeros(2), np.diag([1.0, 4.0]))
+        assert predictive(np.array([0.0, 1.0]), post)[1] == pytest.approx(0.25)
+
+    def test_matches_direct_solve(self):
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(4, 4))
+        prec = A @ A.T + 0.5 * np.eye(4)
+        post = WeightPosterior(np.zeros(4), prec)
+        x = rng.normal(size=4)
+        assert (predictive(x, post)[1]
+                == pytest.approx(x @ np.linalg.solve(prec, x)))
+
     def test_zero_vector_degenerate(self):
         assert predictive(np.zeros(2), default_weight_prior(2)) == (0.0, 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             predictive(np.zeros(3), default_weight_prior(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        post = default_weight_prior(3)
+        with pytest.raises(InvalidInputError):
+            predictive(np.array([1.0, bad, 0.0]), post)
+        with pytest.raises(InvalidInputError):
+            predictive(np.array([0.0, 0.0, bad]), post)
+
+    def test_takes_one_vector(self):
+        with pytest.raises(InvalidInputError, match="finite vector"):
+            predictive(np.eye(3), default_weight_prior(3))

@@ -17,6 +17,7 @@ from crowdreg import (
     PrecisionPosterior,
     WeightPosterior,
     fit_variational,
+    predictive,
     vi_update_precision,
     vi_update_weights,
 )
@@ -234,7 +235,7 @@ def test_cholesky_path_equals_scipy_wrappers(problem):
     cov = cho_solve(reference, np.eye(d))
     assert np.array_equal(post.covariance, 0.5 * (cov + cov.T))
     rows = rng.normal(size=(int(rng.integers(1, 40)), d))
-    assert [post.quadform(x) for x in rows] == [
+    assert [predictive(x, post)[1] for x in rows] == [
         max(x @ cho_solve(reference, x), 0.0) for x in rows]
 
 
@@ -292,8 +293,8 @@ def test_fitted_posterior_equals_public_constructor(problem, sweeps):
     assert np.array_equal(weights._factor, public._factor)
     assert np.array_equal(weights.covariance, public.covariance)
     rows = rng.normal(size=(int(rng.integers(1, 40)), d))
-    assert ([weights.quadform(x) for x in rows]
-            == [public.quadform(x) for x in rows])
+    assert ([predictive(x, weights)[1] for x in rows]
+            == [predictive(x, public)[1] for x in rows])
     for a in (weights.mean, weights.precision, weights.covariance):
         assert not a.flags.writeable
 
