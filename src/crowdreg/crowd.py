@@ -112,17 +112,18 @@ def make_annotators(m, good, interval_good, interval_bad, seed):
             for j in range(m)]
 
 
-def label_value(profile: AnnotatorProfile, true_value: float, effort: float,
-                rng: np.random.Generator) -> float:
-    """True value plus Gaussian noise of variance 1/effort.
+def label_value(profile: AnnotatorProfile, true_value, effort: float, noise):
+    """True value plus standard-normal ``noise`` scaled to variance 1/effort.
 
-    Effort cannot exceed the annotator's best precision.
+    ``true_value`` and ``noise`` may be scalars or equally shaped arrays, so
+    one call labels many instances at one effort.  Effort cannot exceed the
+    annotator's best precision.
     """
     if not 0 < effort <= profile.best_precision:
         raise InvalidInputError(
             f"effort {effort} outside (0, {profile.best_precision}]"
         )
-    return float(true_value + rng.normal(0.0, 1.0 / np.sqrt(effort)))
+    return true_value + noise * (1.0 / np.sqrt(effort))
 
 
 def optimal_effort(profile: AnnotatorProfile, scheme: PaymentScheme,

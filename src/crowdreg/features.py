@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError
 
@@ -46,6 +45,9 @@ class TransformSpec:
 
 
 def _squared_distances(X, centers):
+    # scipy.spatial is a slow import that only sigmoid runs need
+    from scipy.spatial.distance import cdist
+
     return cdist(X, centers, metric="sqeuclidean")
 
 

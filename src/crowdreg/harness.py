@@ -2,10 +2,11 @@
 baseline strategies, metrics, and record emission.
 
 A run splits the data (seeded), normalizes and transforms features, simulates
-an annotator population, labels a small seed pool with every annotator, fits
-the variational model, then procures one label per round: pick an instance,
-pick an annotator (per strategy), draw a noisy label, refit with a warm start,
-and update the bandit and regret accounting.  Every round appends one record.
+an annotator population and its noisy answers on the pool, labels a small seed
+pool with every annotator, fits the variational model, then procures one label
+per round: pick an instance, pick an annotator (per strategy), take that
+annotator's answer, refit with a warm start, and update the bandit and regret
+accounting.  Every round appends one record.
 
 Repetitions are independent given the base seed; reruns with the same
 configuration produce byte-identical record files.
@@ -21,7 +22,6 @@ from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import bandit as bd
 from .crowd import AnnotatorProfile, label_value, make_annotators
@@ -404,129 +404,26 @@ def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12):
     return X, y
 
 
-def _label_rng(rep_seed: int, annotator: int, instance: int):
-    """The label stream of ``annotator`` on pool row ``instance``: a PCG64
-    seeded by ``SeedSequence([rep_seed, _LABEL, annotator, instance])``.
-    ``_label_rngs`` yields the same Generators for a block of pairs."""
-    return np.random.default_rng([rep_seed, _LABEL, annotator, instance])
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx),
-# frozen by NEP 19 so that a seed gives the same stream in every release.
-_MASK32 = 0xFFFFFFFF
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hashmix(init, mult):
-    """SeedSequence's ``hashmix`` over uint32 arrays, with its running
-    constant: each call uses and advances the constant, as numpy's does.
-    Every operand is ``np.uint32``, so numpy 1.x and NEP 50 agree."""
-    const = init
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> np.uint32(16)
-        return value
-
-    return hashmix
-
-
-def _mix(x, y):
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    result ^= result >> np.uint32(16)
-    return result
-
-
-def _label_words(rep_seed, annotators, instances):
-    """Row ``p`` is ``SeedSequence([rep_seed, _LABEL, annotators[p],
-    instances[p]]).generate_state(4, np.uint64)``.
-
-    numpy's entropy mix (pool size 4) and ``generate_state`` run once over
-    uint32 columns for the whole block.  The entropy is ``rep_seed`` split
-    into little-endian 32-bit words as numpy splits an int, then ``_LABEL``,
-    the annotator and the instance, each of which must lie below 2^32.  The
-    hash constants do not depend on the data, so every row takes the same
-    steps; the uint32 intermediates are dropped on return.
-    """
-    n = len(annotators)
-    seed_words, rest = [], int(rep_seed)
-    while True:
-        seed_words.append(rest & _MASK32)
-        rest >>= 32
-        if not rest:
-            break
-    # the constant words are one-element columns, which broadcast
-    entropy = [np.full(1, w, dtype=np.uint32) for w in seed_words + [_LABEL]]
-    entropy += [np.asarray(annotators, dtype=np.uint32),
-                np.asarray(instances, dtype=np.uint32)]
-    hashmix = _hashmix(_HASH_INIT_A, _HASH_MULT_A)
-    # rep_seed's words and 3 more fill the pool, so numpy's zero padding
-    # never applies
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:  # a rep_seed of 2^32 or more
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    state = np.empty((n, 8), dtype="<u4")
-    hashmix = _hashmix(_HASH_INIT_B, _HASH_MULT_B)
-    for k in range(8):
-        state[:, k] = hashmix(pool[k % 4])
-    return state.view("<u8").astype(np.uint64, copy=False)
-
-
-class _LabelSeed(ISeedSequence):
-    """One row of ``_label_words`` standing in for the SeedSequence it was
-    hashed from: PCG64 asks it for ``generate_state(4, np.uint64)`` only."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise NotImplementedError("only generate_state(4, np.uint64)")
-        return self.words
-
-
-def _label_rngs(rep_seed, annotators, instances):
-    """Yield, in order, the Generator ``_label_rng(rep_seed, j, i)`` builds
-    for each pair of the equal-length ``annotators`` and ``instances``.
-
-    Both share the ``SeedSequence([rep_seed, _LABEL, j, i])`` contract, but
-    the hash runs once for the block (``_label_words``); numpy still seeds
-    each PCG64 and draws.  Generators are built one at a time, as the
-    caller asks for them, so a block costs one array of words in memory.
-    """
-    for words in _label_words(rep_seed, annotators, instances):
-        yield np.random.Generator(np.random.PCG64(_LabelSeed(words)))
-
-
-def _choose_scale(config, rep_seed, pool_features, centers, labels, m):
+def _choose_scale(config, rep_seed, pool_features, centers, labels,
+                  seed_answers):
     """Pick the sigmoid scale from ``s_grid`` by held-out validation.
 
-    ``labels`` covers the first k pool rows, each labeled by all ``m``
-    annotators.  With a single candidate there is nothing to choose.
-    Otherwise 20% of those rows are held out and each candidate is scored by
-    RMSE of the fitted model against the held-out mean crowd label.
+    ``seed_answers`` is the m x k block of crowd answers on the first k pool
+    rows, and ``labels`` holds the same answers keyed ``(row, annotator)``.
+    With a single candidate there is nothing to choose.  Otherwise 20% of
+    those rows are held out and each candidate is scored by RMSE of the
+    fitted model against the held-out mean crowd label.
     """
     if len(config.s_grid) == 1:
         return config.s_grid[0]
-    k = len(labels) // m
+    m, k = seed_answers.shape
     perm = np.random.default_rng([rep_seed, _SGRID]).permutation(k)
     val_idx = sorted(perm[:max(1, k // 5)])
     val_set = set(val_idx)
     train_labels = {key: y for key, y in labels.items() if key[0] not in val_set}
     if not train_labels:
         return config.s_grid[0]
-    val_target = np.array([np.mean([labels[(i, j)] for j in range(m)])
-                           for i in val_idx])
+    val_target = seed_answers[:, val_idx].mean(axis=0)
     best_s, best_err = None, np.inf
     for s in config.s_grid:
         spec = TransformSpec(centers, s)
@@ -541,13 +438,19 @@ def _choose_scale(config, rep_seed, pool_features, centers, labels, m):
 
 
 def _setup(config, data, rep_seed, k):
-    """Split, normalize, draw the population, label the first ``k`` pool
-    rows (all of them when ``k`` is None) with every annotator, transform the
-    features and fit.
+    """Split, normalize, draw the population and its answers, label the first
+    ``k`` pool rows (all of them when ``k`` is None) with every annotator,
+    transform the features and fit.
+
+    ``answers[j, i]`` is annotator ``j``'s label on pool row ``i``: the true
+    value plus ``default_rng([rep_seed, _LABEL, j]).standard_normal(n_pool)[i]``
+    scaled to the annotator's effort.  So a label depends only on (rep_seed,
+    annotator, pool row), whichever strategy asks for it and in whatever
+    order.
 
     Returns ``(test_phi, test_z, weights, precisions, dataset, pool_idx,
-    pool_z, profiles, efforts)``; ``pool_idx`` maps pool positions to data
-    rows.  The labels come first: a grid-searched sigmoid scale needs them.
+    answers, efforts)``; ``pool_idx`` maps pool positions to data rows.  The
+    labels come first: a grid-searched sigmoid scale needs them.
     """
     X, z = data
     n = X.shape[0]
@@ -570,38 +473,37 @@ def _setup(config, data, rep_seed, k):
         )
     m = len(profiles)
     efforts = np.array([p.best_precision for p in profiles])
-    labels = {}
-    rows = range(pool_idx.size)[:k]
-    rngs = _label_rngs(rep_seed,
-                       np.tile(np.arange(m, dtype=np.uint32), len(rows)),
-                       np.repeat(np.arange(len(rows), dtype=np.uint32), m))
-    for i in rows:
-        for j, profile in enumerate(profiles):
-            labels[(i, j)] = label_value(profile, float(pool_z[i]), efforts[j],
-                                         next(rngs))
-    del rngs  # and with it the block's words, before the fit
+    answers = np.empty((m, pool_idx.size))
+    for j, profile in enumerate(profiles):
+        noise = np.random.default_rng([rep_seed, _LABEL, j]).standard_normal(
+            pool_idx.size)
+        answers[j] = label_value(profile, pool_z, efforts[j], noise)
+    seed_answers = answers[:, :k]
+    labels = {(i, j): y for i, column in enumerate(seed_answers.T.tolist())
+              for j, y in enumerate(column)}
 
     pool_phi, test_phi = pool_norm, test_norm
     if config.transform == "sigmoid":
         centers = fit_centers(pool_norm, pool_norm.shape[1],
                               [rep_seed, _KMEANS])
-        s = _choose_scale(config, rep_seed, pool_norm, centers, labels, m)
+        s = _choose_scale(config, rep_seed, pool_norm, centers, labels,
+                          seed_answers)
         spec = TransformSpec(centers, s)
         pool_phi, test_phi = transform(pool_norm, spec), transform(test_norm, spec)
     dataset = CrowdDataset(pool_phi, labels, m)
     weights, precisions, _ = fit_variational(
         dataset, default_weight_prior(dataset.d), default_precision_priors(m))
-    return (test_phi, test_z, weights, precisions, dataset, pool_idx, pool_z,
-            profiles, efforts)
+    return (test_phi, test_z, weights, precisions, dataset, pool_idx, answers,
+            efforts)
 
 
 def _run_repetition(config, data, rep):
     rep_seed = config.base_seed + rep
     instance_rule, annotator_rule = _RULES[config.strategy]
-    (test_phi, test_z, weights, precisions, dataset, pool_idx, pool_z, profiles,
+    (test_phi, test_z, weights, precisions, dataset, pool_idx, answers,
      efforts) = _setup(config, data, rep_seed, config.seed_pool_size)
     pool_phi = dataset.instances
-    m = len(profiles)
+    m = len(efforts)
     seed_count = min(config.seed_pool_size, dataset.n)
     weight_prior = default_weight_prior(dataset.d)
     precision_priors = default_precision_priors(m)
@@ -641,8 +543,7 @@ def _run_repetition(config, data, rep):
         else:  # over the one-source population this is 0 and draws nothing
             j = int(strategy_rng.integers(m))
 
-        y = label_value(profiles[j], float(pool_z[pos]), efforts[j],
-                        _label_rng(rep_seed, j, pos))
+        y = float(answers[j, pos])
         dataset = dataset.with_label(pos, j, y)
         weights, precisions, _ = fit_variational(
             dataset, weight_prior, precision_priors, max_sweeps=_ROUND_SWEEPS,
@@ -658,7 +559,7 @@ def _run_repetition(config, data, rep):
         unlabeled = unlabeled[unlabeled != pos]
 
         records.append(RoundRecord(
-            rep, t, int(pool_idx[pos]), j, float(y), accepted,
+            rep, t, int(pool_idx[pos]), j, y, accepted,
             rmse(test_phi @ weights.mean, test_z), bd.regret_seq(ledger),
             discarded, paid,
         ))

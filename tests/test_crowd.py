@@ -48,8 +48,8 @@ class TestSampleLabel:
         rng = np.random.default_rng(17)
         x = np.array([1.0, 2.0])
         w = np.array([0.5, 0.25])
-        draws = np.array([label_value(profile, float(w @ x), 4.0, rng)
-                          for _ in range(10_000)])
+        draws = label_value(profile, float(w @ x), 4.0,
+                            rng.standard_normal(10_000))
         errors = draws - w @ x
         # sd is 0.5 at effort 4, so the mean of 1e4 draws sits within 4 SEM
         assert abs(errors.mean()) <= 4 * 0.5 / 100
@@ -57,23 +57,22 @@ class TestSampleLabel:
     def test_variance_matches_effort(self):
         profile = AnnotatorProfile(0, best_precision=4.0)
         rng = np.random.default_rng(23)
-        draws = np.array([label_value(profile, 0.0, 4.0, rng)
-                          for _ in range(10_000)])
+        draws = label_value(profile, 0.0, 4.0, rng.standard_normal(10_000))
         assert draws.var() == pytest.approx(0.25, rel=0.15)
 
     def test_zero_weights_zero_mean(self):
         profile = AnnotatorProfile(0, best_precision=9.0)
         rng = np.random.default_rng(29)
         x, w = np.array([5.0, -3.0]), np.zeros(2)
-        draws = np.array([label_value(profile, float(w @ x), 9.0, rng)
-                          for _ in range(10_000)])
+        draws = label_value(profile, float(w @ x), 9.0,
+                            rng.standard_normal(10_000))
         assert abs(draws.mean()) <= 4 * (1.0 / 3.0) / 100
 
     def test_effort_above_ability_rejected(self):
         profile = AnnotatorProfile(0, best_precision=2.0)
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidInputError):
-            label_value(profile, 0.0, 2.5, rng)
+            label_value(profile, 0.0, 2.5, rng.standard_normal())
 
 
 class TestCostFunction:
