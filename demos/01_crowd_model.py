@@ -27,12 +27,11 @@ noise_sd = np.concatenate([rng.uniform(0.1, 0.4, 5), rng.uniform(1.0, 2.0, 5)])
 print("true noise sd per annotator:", noise_sd.round(2))
 
 # every instance gets one label from a random annotator
-labels = {}
-for i in range(n):
-    j = int(rng.integers(m))
-    labels[(i, j)] = float(X[i] @ w_true + rng.normal(0, noise_sd[j]))
+rows = np.arange(n)
+annotators = rng.integers(m, size=n)
+values = X @ w_true + rng.normal(0, noise_sd[annotators])
 
-dataset = CrowdDataset(X, labels, m)
+dataset = CrowdDataset(X, rows, annotators, values, m)
 weights, precisions, report = fit_variational(
     dataset, default_weight_prior(d), default_precision_priors(m)
 )

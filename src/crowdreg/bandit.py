@@ -194,7 +194,7 @@ def initialize_state(state: BanditState, residual_sqs) -> BanditState:
     return state
 
 
-@dataclass
+@dataclass(eq=False)
 class RegretLedger:
     """Ground-truth suboptimality gaps and realized pull counts.
 

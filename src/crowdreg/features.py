@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformSpec:
     """Parameters of the sigmoid distance transform.
 

@@ -404,33 +404,41 @@ def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12):
     return X, y
 
 
-def _choose_scale(config, rep_seed, pool_features, centers, labels,
-                  seed_answers):
+def _fit_block(instances, answers, columns):
+    """``(dataset, weights, precisions, report)``: every annotator's answers
+    on the pool rows ``columns`` as a dataset over ``instances``, in row
+    order within each annotator, and its fit at the defaults."""
+    m = answers.shape[0]
+    dataset = CrowdDataset(instances, np.tile(columns, m),
+                           np.repeat(np.arange(m), len(columns)),
+                           answers[:, columns].ravel(), m)
+    return dataset, *fit_variational(dataset, default_weight_prior(dataset.d),
+                                     default_precision_priors(m))
+
+
+def _choose_scale(config, rep_seed, pool_features, centers, seed_answers):
     """Pick the sigmoid scale from ``s_grid`` by held-out validation.
 
     ``seed_answers`` is the m x k block of crowd answers on the first k pool
-    rows, and ``labels`` holds the same answers keyed ``(row, annotator)``.
-    With a single candidate there is nothing to choose.  Otherwise 20% of
-    those rows are held out and each candidate is scored by RMSE of the
-    fitted model against the held-out mean crowd label.
+    rows.  With a single candidate there is nothing to choose.  Otherwise
+    20% of those rows are held out, each candidate's model is fitted on the
+    block's other columns, and it is scored by RMSE against the held-out
+    mean crowd label.
     """
     if len(config.s_grid) == 1:
         return config.s_grid[0]
-    m, k = seed_answers.shape
+    k = seed_answers.shape[1]
     perm = np.random.default_rng([rep_seed, _SGRID]).permutation(k)
-    val_idx = sorted(perm[:max(1, k // 5)])
-    val_set = set(val_idx)
-    train_labels = {key: y for key, y in labels.items() if key[0] not in val_set}
-    if not train_labels:
+    cut = max(1, k // 5)
+    val_idx, train_idx = np.sort(perm[:cut]), np.sort(perm[cut:])
+    if not train_idx.size:
         return config.s_grid[0]
     val_target = seed_answers[:, val_idx].mean(axis=0)
     best_s, best_err = None, np.inf
     for s in config.s_grid:
         spec = TransformSpec(centers, s)
         phi = transform(pool_features[:k], spec)
-        ds = CrowdDataset(phi, train_labels, m)
-        weights, _, _ = fit_variational(
-            ds, default_weight_prior(phi.shape[1]), default_precision_priors(m))
+        weights = _fit_block(phi, seed_answers, train_idx)[1]
         err = rmse(phi[val_idx] @ weights.mean, val_target)
         if err < best_err:
             best_s, best_err = s, err
@@ -448,9 +456,12 @@ def _setup(config, data, rep_seed, k):
     annotator, pool row), whichever strategy asks for it and in whatever
     order.
 
-    Returns ``(test_phi, test_z, weights, precisions, dataset, pool_idx,
-    answers, efforts)``; ``pool_idx`` maps pool positions to data rows.  The
-    labels come first: a grid-searched sigmoid scale needs them.
+    The seed dataset is the block ``answers[:, :k]`` as label vectors:
+    ``rows = tile(arange(k), m)``, ``annotators = repeat(arange(m), k)`` and
+    ``values = answers[:, :k].ravel()``.  Returns ``(test_phi, test_z,
+    weights, precisions, dataset, pool_idx, answers, efforts)``; ``pool_idx``
+    maps pool positions to data rows.  The answers come first: a
+    grid-searched sigmoid scale needs them.
     """
     X, z = data
     n = X.shape[0]
@@ -479,20 +490,16 @@ def _setup(config, data, rep_seed, k):
             pool_idx.size)
         answers[j] = label_value(profile, pool_z, efforts[j], noise)
     seed_answers = answers[:, :k]
-    labels = {(i, j): y for i, column in enumerate(seed_answers.T.tolist())
-              for j, y in enumerate(column)}
 
     pool_phi, test_phi = pool_norm, test_norm
     if config.transform == "sigmoid":
         centers = fit_centers(pool_norm, pool_norm.shape[1],
                               [rep_seed, _KMEANS])
-        s = _choose_scale(config, rep_seed, pool_norm, centers, labels,
-                          seed_answers)
+        s = _choose_scale(config, rep_seed, pool_norm, centers, seed_answers)
         spec = TransformSpec(centers, s)
         pool_phi, test_phi = transform(pool_norm, spec), transform(test_norm, spec)
-    dataset = CrowdDataset(pool_phi, labels, m)
-    weights, precisions, _ = fit_variational(
-        dataset, default_weight_prior(dataset.d), default_precision_priors(m))
+    dataset, weights, precisions, _ = _fit_block(
+        pool_phi, answers, np.arange(seed_answers.shape[1]))
     return (test_phi, test_z, weights, precisions, dataset, pool_idx, answers,
             efforts)
 
@@ -519,9 +526,8 @@ def _run_repetition(config, data, rep):
         # product could round differently
         predictions = [weights.mean @ pool_phi[i] for i in range(seed_count)]
         bd.initialize_state(state, [
-            [(dataset.labels[(i, j)] - predictions[i]) ** 2
-             for i in range(seed_count)]
-            for j in range(m)
+            [(y - p) ** 2 for y, p in zip(row, predictions)]
+            for row in answers[:, :seed_count]
         ])
 
     paid = seed_count * sum(settle(precisions, scheme).tolist())

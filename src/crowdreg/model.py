@@ -16,10 +16,10 @@ moves more than a relative tolerance.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from numbers import Integral, Real
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -63,13 +63,6 @@ def _cholesky(prec: np.ndarray, failure: str) -> np.ndarray:
     raise NumericalFailureError(failure)
 
 
-def _check_label(i, j, y, n: int, m: int) -> float:
-    if not (0 <= i < n and 0 <= j < m and math.isfinite(y)):
-        raise InvalidInputError(f"label ({i}, {j}) = {y!r}: key out of range "
-                                f"or label not finite")
-    return float(y)
-
-
 def _accumulate(stats, j, rows, ys) -> None:
     """Add the labels ``ys`` on ``rows`` to annotator ``j``'s statistics."""
     gram = (rows.T @ rows).ravel()
@@ -77,27 +70,58 @@ def _accumulate(stats, j, rows, ys) -> None:
         a[j] += term
 
 
-@dataclass(frozen=True)
+def _checked_labels(rows, annotators, values, n, m):
+    """Read-only copies of the label vectors after the checks that
+    :class:`CrowdDataset` lists, each over the whole array."""
+    labels = [np.asarray(rows), np.asarray(annotators), np.asarray(values)]
+    if {v.ndim for v in labels} != {1} or len({v.size for v in labels}) > 1:
+        raise InvalidInputError(
+            f"label {min(v.size for v in labels)}: rows, annotators and "
+            f"values must be equally long vectors")
+    rows, annotators, values = labels
+    if not all(v.dtype.kind in kinds or not v.size
+               for v, kinds in zip(labels, ("iu", "iu", "iuf"))):
+        raise _label_error(0, rows[0], annotators[0], values[0], n, m)
+    bad = ((rows < 0) | (rows >= n) | (annotators < 0) | (annotators >= m)
+           | ~np.isfinite(values))
+    if not bad.any():  # flag each repeat of an earlier (row, annotator) pair
+        order = np.lexsort((annotators, rows))  # stable within a pair
+        r, a = rows[order], annotators[order]
+        bad[order[1:][(r[1:] == r[:-1]) & (a[1:] == a[:-1])]] = True
+    if bad.any():
+        k = int(bad.argmax())
+        raise _label_error(k, rows[k], annotators[k], values[k], n, m)
+    return [_frozen_array(v, t)
+            for v, t in zip(labels, (np.intp, np.intp, float))]
+
+
+def _label_error(k, row, annotator, value, n, m) -> InvalidInputError:
+    return InvalidInputError(
+        f"label {k} (row {row}, annotator {annotator}, value {value}): need "
+        f"integer row in [0, {n}) and annotator in [0, {m}), a finite number "
+        f"and a (row, annotator) pair not labeled before")
+
+
+@dataclass(frozen=True, eq=False)
 class CrowdDataset:
-    """Feature matrix plus a sparse map of per-annotator labels.
+    """Feature matrix plus the crowd's labels as three equally long vectors.
 
-    Construction validates every label.  :meth:`with_label` validates only
-    the new one and adds it to a copy of the per-annotator sufficient
-    statistics as one rank-one update: O(d^2) arithmetic per label.
-
-    Parameters
-    ----------
-    instances : (n, d) array
-        One row per data instance.
-    labels : mapping
-        ``(instance index, annotator index) -> label``.  An annotator may
-        label any subset of the instances; instances may stay unlabeled.
-    num_annotators : int
-        Total number of annotators, including ones with no labels yet.
+    Label ``k`` is ``values[k]``, given by annotator ``annotators[k]`` (in
+    ``[0, num_annotators)``) on instance ``rows[k]`` (a row of the (n, d)
+    ``instances``).  An annotator labels any subset of the instances, each
+    at most once.  The vectors are read-only copies in the given order,
+    validated once on construction: integer indices (a float or bool index
+    is rejected, not truncated), in range, finite values, no repeated
+    ``(row, annotator)`` pair.  An error names the position and the ``(row,
+    annotator, value)`` of the first bad label.  :meth:`with_label` checks
+    only the new label and adds it to a copy of the per-annotator
+    sufficient statistics.
     """
 
     instances: np.ndarray
-    labels: Mapping[tuple[int, int], float]
+    rows: np.ndarray
+    annotators: np.ndarray
+    values: np.ndarray
     num_annotators: int
 
     def __post_init__(self):
@@ -112,9 +136,10 @@ class CrowdDataset:
         if self.num_annotators < 1:
             raise InvalidInputError("num_annotators must be at least 1")
         object.__setattr__(self, "instances", _frozen_array(inst))
-        object.__setattr__(self, "labels", dict(self.labels))
-        for (i, j), y in self.labels.items():
-            _check_label(i, j, y, inst.shape[0], self.num_annotators)
+        for name, v in zip(("rows", "annotators", "values"), _checked_labels(
+                self.rows, self.annotators, self.values, inst.shape[0],
+                self.num_annotators)):
+            object.__setattr__(self, name, v)
 
     @property
     def n(self) -> int:
@@ -126,7 +151,7 @@ class CrowdDataset:
 
     @property
     def total_labels(self) -> int:
-        return len(self.labels)
+        return self.values.size
 
     @property
     def label_counts(self) -> np.ndarray:
@@ -137,31 +162,44 @@ class CrowdDataset:
 
     @cached_property
     def _suffstats(self):
-        """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked."""
+        """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked;
+        a stable sort groups the labels, so each annotator's rows keep their
+        given order."""
         m, d = self.num_annotators, self.d
         stats = (np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m),
                  np.zeros(m, dtype=int))
-        grouped: dict[int, list[tuple[int, float]]] = defaultdict(list)
-        for (i, j), y in self.labels.items():
-            grouped[j].append((i, y))
-        for j, pairs in grouped.items():
-            idx = np.fromiter((i for i, _ in pairs), dtype=int, count=len(pairs))
-            yv = np.fromiter((y for _, y in pairs), dtype=float, count=len(pairs))
-            _accumulate(stats, j, self.instances[idx], yv)
+        order = np.argsort(self.annotators, kind="stable")
+        counts = np.bincount(self.annotators, minlength=m)
+        for j, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
+            if idx.size:
+                _accumulate(stats, j, self.instances[self.rows[idx]],
+                            self.values[idx])
         return stats
 
     def with_label(self, i: int, j: int, y: float) -> "CrowdDataset":
-        """A new dataset with one extra label; the original is untouched."""
-        if (i, j) in self.labels:
-            raise InvalidInputError(f"label for ({i}, {j}) already present")
-        y = _check_label(i, j, y, self.n, self.num_annotators)
+        """A new dataset with one extra label; the original is untouched.
+
+        Checks the new label only.  Copies the m x d^2 statistics and the
+        O(L) label vectors, then adds the label with O(d^2) arithmetic.
+        """
+        n, m, k = self.n, self.num_annotators, self.total_labels
+        if not (all(isinstance(v, kind) and not isinstance(v, bool)
+                    for v, kind in ((i, Integral), (j, Integral), (y, Real)))
+                and 0 <= i < n and 0 <= j < m and math.isfinite(y)
+                and not (self.rows[self.annotators == j] == i).any()):
+            raise _label_error(k, i, j, y, n, m)
+        y = float(y)
         stats = tuple(a.copy() for a in self._suffstats)
         _accumulate(stats, j, self.instances[i:i + 1], np.array([y]))
         # Every other field is already validated: skip __post_init__.
         child = object.__new__(CrowdDataset)
         child.__dict__.update(instances=self.instances, _suffstats=stats,
-                              labels={**self.labels, (i, j): y},
-                              num_annotators=self.num_annotators)
+                              num_annotators=m)
+        for name, v in (("rows", i), ("annotators", j), ("values", y)):
+            old = getattr(self, name)
+            grown = child.__dict__[name] = np.empty(k + 1, old.dtype)
+            grown[:k], grown[k] = old, v
+            grown.setflags(write=False)
         return child
 
 

@@ -74,7 +74,7 @@ def test_criterion_02_conjugacy_oracle():
     X = rng.normal(size=(n, d))
     w = rng.normal(size=d)
     y = X @ w + rng.normal(0, 1 / np.sqrt(beta), n)
-    ds = CrowdDataset(X, {(i, 0): float(y[i]) for i in range(n)}, 1)
+    ds = CrowdDataset(X, np.arange(n), np.zeros(n, dtype=int), y, 1)
     pinned = PrecisionPosterior([1e12 * beta], [1e12])
     weights, _, fit = fit_variational(ds, default_weight_prior(d), pinned)
     lam = np.eye(d) + beta * X.T @ X
@@ -96,11 +96,10 @@ def test_criterion_03_estimator_consistency():
         w = rng.normal(size=5)
         for n in errs:
             X = rng.normal(size=(n, 5))
-            labels = {
-                (i, i % 3): float(X[i] @ w + rng.normal(0, noise_sds[i % 3]))
-                for i in range(n)
-            }
-            ds = CrowdDataset(X, labels, 3)
+            rows = np.arange(n)
+            values = [X[i] @ w + rng.normal(0, noise_sds[i % 3])
+                      for i in rows]
+            ds = CrowdDataset(X, rows, rows % 3, values, 3)
             post, _, _ = fit_variational(ds, default_weight_prior(5),
                                          default_precision_priors(3))
             errs[n].append(np.linalg.norm(post.mean - w))

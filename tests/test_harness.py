@@ -597,9 +597,11 @@ def test_every_label_is_the_full_pool_answer(base_seed, strategy):
         position = {int(row): pos for pos, row in enumerate(pool_idx)}
         seed_dataset = harness._setup(config, data, rep_seed,
                                       config.seed_pool_size)[4]
-        assert seed_dataset.labels == {
-            (i, j): answers[j, i] for i in range(config.seed_pool_size)
-            for j in range(answers.shape[0])}
+        m, k = answers.shape[0], config.seed_pool_size
+        assert np.array_equal(seed_dataset.rows, np.tile(np.arange(k), m))
+        assert np.array_equal(seed_dataset.annotators,
+                              np.repeat(np.arange(m), k))
+        assert np.array_equal(seed_dataset.values, answers[:, :k].ravel())
         rounds = [r for r in records if r.rep == rep and r.round > 0]
         assert len(rounds) == config.budget
         for r in rounds:

@@ -20,28 +20,44 @@ from crowdreg import (
 
 
 def one_label_dataset():
-    return CrowdDataset(np.array([[1.0, 0.0]]), {(0, 0): 2.0}, 1)
+    return CrowdDataset(np.array([[1.0, 0.0]]), [0], [0], [2.0], 1)
 
 
 class TestCrowdDataset:
     def test_label_counts_match_labels(self):
         X = np.arange(6.0).reshape(3, 2)
-        ds = CrowdDataset(X, {(0, 1): 1.0, (2, 0): -1.0}, 2)
+        ds = CrowdDataset(X, [0, 2], [1, 0], [1.0, -1.0], 2)
         assert np.array_equal(ds.label_counts, [1, 1])
         assert ds.label_counts.sum() == ds.total_labels == 2
 
     def test_with_label_leaves_original_untouched(self):
-        ds = CrowdDataset(np.ones((2, 2)), {(0, 0): 2.0}, 2)
+        ds = CrowdDataset(np.ones((2, 2)), [0], [0], [2.0], 2)
         grown = ds.with_label(1, 1, 3.0)
         assert grown.total_labels == 2 and ds.total_labels == 1
+        assert (ds.rows.tolist(), ds.annotators.tolist(),
+                ds.values.tolist()) == ([0], [0], [2.0])
+        for v in (grown.rows, grown.annotators, grown.values):
+            with pytest.raises(ValueError):  # read-only
+                v[0] = 0
         with pytest.raises(InvalidInputError):
             grown.with_label(1, 1, 4.0)
 
     def test_rejects_out_of_range_keys(self):
-        with pytest.raises(InvalidInputError):
-            CrowdDataset(np.ones((2, 2)), {(5, 0): 1.0}, 1)
-        with pytest.raises(InvalidInputError):
-            CrowdDataset(np.ones((2, 2)), {(0, 3): 1.0}, 1)
+        # each case's first bad label sits at the given position
+        for rows, annotators, values, position in [
+            ([5], [0], [1.0], 0),                         # row out of range
+            ([0], [3], [1.0], 0),                         # annotator too
+            ([1, 0, -1], [0, 0, 0], [1.0, 2.0, 3.0], 2),  # negative row
+            ([1, 0, 0, 1], [0, 0, 0, 0], [1.0] * 4, 2),   # duplicate pairs
+            ([0, 1], [0, 0], [1.0], 1),                   # unequal lengths
+            ([0.0], [0], [1.0], 0),                       # float index
+            ([0], [False], [1.0], 0),                     # bool index
+            ([0, 1], [0, 0], [1.0, np.inf], 1),           # non-finite value
+            ([0], [0], ["1.0"], 0),                       # text value
+        ]:
+            with pytest.raises(InvalidInputError,
+                               match=f"^label {position}\\b"):
+                CrowdDataset(np.ones((2, 2)), rows, annotators, values, 1)
 
 
 class TestWeightPosterior:
@@ -56,7 +72,7 @@ class TestWeightPosterior:
 
 class TestWeightUpdate:
     def test_no_labels_returns_prior_exactly(self):
-        ds = CrowdDataset(np.ones((3, 2)), {}, 2)
+        ds = CrowdDataset(np.ones((3, 2)), [], [], [], 2)
         prior = WeightPosterior(np.array([0.3, -0.7]), np.diag([2.0, 5.0]))
         out = vi_update_weights(ds, [1.0, 1.0], prior)
         assert out is prior
@@ -84,8 +100,8 @@ class TestWeightUpdate:
     def test_precision_gain_is_psd(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(20, 3))
-        labels = {(i, i % 2): float(rng.normal()) for i in range(20)}
-        ds = CrowdDataset(X, labels, 2)
+        rows = np.arange(20)
+        ds = CrowdDataset(X, rows, rows % 2, rng.normal(size=20), 2)
         prior = default_weight_prior(3)
         out = vi_update_weights(ds, [0.5, 2.0], prior)
         eigs = np.linalg.eigvalsh(out.precision - prior.precision)
@@ -95,16 +111,14 @@ class TestWeightUpdate:
 class TestPrecisionUpdate:
     def test_no_labels_returns_prior(self):
         # annotator 1 has no labels: its entries keep the prior values exactly
-        ds = CrowdDataset(np.ones((2, 2)), {(0, 0): 1.0}, 2)
+        ds = CrowdDataset(np.ones((2, 2)), [0], [0], [1.0], 2)
         prior = PrecisionPosterior([1.0, 2.0], [1.0, 3.0])
         out = vi_update_precision(ds, default_weight_prior(2), prior)
         assert (out.shape[1], out.rate[1]) == (2.0, 3.0)
         assert out.shape[0] == 1.5
 
     def test_shape_gains_half_label_count(self):
-        X = np.ones((4, 2))
-        labels = {(i, 0): 1.0 for i in range(4)}
-        ds = CrowdDataset(X, labels, 1)
+        ds = CrowdDataset(np.ones((4, 2)), range(4), [0] * 4, [1.0] * 4, 1)
         out = vi_update_precision(ds, default_weight_prior(2),
                                   PrecisionPosterior([1.0], [1.0]))
         assert out.shape[0] == pytest.approx(3.0)
@@ -112,7 +126,7 @@ class TestPrecisionUpdate:
     def test_exact_fit_rate_hand_value(self):
         # x=(1,0), y=1, mean=(1,0), near-zero covariance: the expected squared
         # residual vanishes and the rate stays at the prior value 1
-        ds = CrowdDataset(np.array([[1.0, 0.0]]), {(0, 0): 1.0}, 1)
+        ds = CrowdDataset(np.array([[1.0, 0.0]]), [0], [0], [1.0], 1)
         weights = WeightPosterior(np.array([1.0, 0.0]), 1e14 * np.eye(2))
         out = vi_update_precision(ds, weights, PrecisionPosterior([1.0], [1.0]))
         assert out.shape[0] == pytest.approx(1.5)
@@ -124,7 +138,7 @@ class TestPrecisionUpdate:
         with pytest.raises(InvalidInputError):
             vi_update_precision(one_label_dataset(), default_weight_prior(2),
                                 default_precision_priors(2))
-        ds = CrowdDataset(np.ones((2, 2)), {(0, 0): 1.0}, 2)
+        ds = CrowdDataset(np.ones((2, 2)), [0], [0], [1.0], 2)
         with pytest.raises(InvalidInputError):
             vi_update_precision(ds, default_weight_prior(2),
                                 default_precision_priors(1))
@@ -158,7 +172,7 @@ class TestExpectedPrecision:
 
 class TestFitVariational:
     def test_empty_dataset_converges_to_priors(self):
-        ds = CrowdDataset(np.ones((3, 2)), {}, 2)
+        ds = CrowdDataset(np.ones((3, 2)), [], [], [], 2)
         wprior = default_weight_prior(2)
         pprior = default_precision_priors(2)
         weights, precisions, report = fit_variational(ds, wprior, pprior)
@@ -177,7 +191,7 @@ class TestFitVariational:
         X = rng.normal(size=(n, d))
         w = rng.normal(size=d)
         y = X @ w + rng.normal(0, 1 / np.sqrt(beta), n)
-        ds = CrowdDataset(X, {(i, 0): float(y[i]) for i in range(n)}, 1)
+        ds = CrowdDataset(X, np.arange(n), np.zeros(n, dtype=int), y, 1)
         pinned = PrecisionPosterior([1e12 * beta], [1e12])
         weights, _, report = fit_variational(ds, default_weight_prior(d), pinned)
         lam = np.eye(d) + beta * X.T @ X
@@ -189,8 +203,8 @@ class TestFitVariational:
     def test_warm_start_at_fixed_point_converges_immediately(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 2))
-        labels = {(i, i % 2): float(X[i, 0] + rng.normal()) for i in range(30)}
-        ds = CrowdDataset(X, labels, 2)
+        rows = np.arange(30)
+        ds = CrowdDataset(X, rows, rows % 2, X[:, 0] + rng.normal(size=30), 2)
         wprior = default_weight_prior(2)
         pprior = default_precision_priors(2)
         weights, precisions, first = fit_variational(ds, wprior, pprior,
@@ -209,8 +223,8 @@ class TestFitVariational:
         # old expected precision, so only a second sweep may converge
         rng = np.random.default_rng(5)
         X = rng.normal(size=(30, 2))
-        labels = {(i, i % 2): float(X[i, 0] + rng.normal()) for i in range(30)}
-        ds = CrowdDataset(X, labels, 2)
+        rows = np.arange(30)
+        ds = CrowdDataset(X, rows, rows % 2, X[:, 0] + rng.normal(size=30), 2)
         wprior = default_weight_prior(2)
         pprior = default_precision_priors(2)
         weights, precisions, _ = fit_variational(ds, wprior, pprior,
@@ -226,8 +240,8 @@ class TestFitVariational:
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(25, 3))
-        labels = {(i, i % 3): float(rng.normal()) for i in range(25)}
-        ds = CrowdDataset(X, labels, 3)
+        rows = np.arange(25)
+        ds = CrowdDataset(X, rows, rows % 3, rng.normal(size=25), 3)
         run = lambda: fit_variational(ds, default_weight_prior(3),
                                       default_precision_priors(3))
         w1, p1, _ = run()
@@ -240,7 +254,7 @@ class TestFitVariational:
     def test_determinant_grows_with_observations(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 3))
-        ds = CrowdDataset(X, {}, 1)
+        ds = CrowdDataset(X, [], [], [], 1)
         logdets = []
         for i in range(0, 40, 8):
             for k in range(i, i + 8):
@@ -259,9 +273,9 @@ class TestFitVariational:
                 rng = np.random.default_rng([seed, 21])
                 w = rng.normal(size=4)
                 X = rng.normal(size=(n, 4))
-                labels = {(i, i % 2): float(X[i] @ w + rng.normal(0, 0.5))
-                          for i in range(n)}
-                ds = CrowdDataset(X, labels, 2)
+                rows = np.arange(n)
+                ds = CrowdDataset(X, rows, rows % 2,
+                                  X @ w + rng.normal(0, 0.5, n), 2)
                 wp, _, _ = fit_variational(ds, default_weight_prior(4),
                                            default_precision_priors(2))
                 per_seed.append(np.linalg.norm(wp.mean - w))

@@ -28,8 +28,9 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 @st.composite
 def labeled_problems(draw, max_d=5):
-    """Features, annotator count and a label map whose keys come in a random
-    order (the order is the dict's insertion order)."""
+    """Features, annotator count, label vectors ``(rows, annotators,
+    values)`` over unique ``(row, annotator)`` pairs in a random order, and
+    the generator that drew them."""
     d = draw(st.integers(1, max_d))
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 10))
@@ -37,8 +38,13 @@ def labeled_problems(draw, max_d=5):
     X = rng.normal(size=(n, d))
     keys = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
                          unique=True, max_size=n * m))
-    labels = {key: float(rng.normal(scale=3.0)) for key in keys}
-    return X, m, labels, rng
+    rows, annotators = np.array(keys, dtype=int).reshape(-1, 2).T
+    return X, m, (rows, annotators, rng.normal(scale=3.0, size=len(keys))), rng
+
+
+def triples(rows, annotators, values):
+    """The labels as a set of (row, annotator, value) triples."""
+    return set(zip(rows.tolist(), annotators.tolist(), values.tolist()))
 
 
 def assert_stats_equal(a, b, rtol):
@@ -50,15 +56,16 @@ def assert_stats_equal(a, b, rtol):
 @given(labeled_problems(), st.data())
 def test_with_label_chain_matches_batch_build(problem, data):
     X, m, labels, rng = problem
-    keys = list(labels)
-    order = data.draw(st.permutations(keys))
-    split = data.draw(st.integers(0, len(keys)))
-    head = {k: labels[k] for k in order[:split]}
-    ds = CrowdDataset(X, head, m)
+    order = np.array(data.draw(st.permutations(range(labels[0].size))),
+                     dtype=int)
+    split = data.draw(st.integers(0, order.size))
+    ds = CrowdDataset(X, *(v[order[:split]] for v in labels), m)
     for k in order[split:]:
-        ds = ds.with_label(*k, labels[k])
-    batch = CrowdDataset(X, labels, m)
-    assert ds.labels == batch.labels
+        ds = ds.with_label(*(v[k] for v in labels))
+    batch = CrowdDataset(X, *labels, m)
+    assert (triples(ds.rows, ds.annotators, ds.values)
+            == triples(*labels) == triples(batch.rows, batch.annotators,
+                                           batch.values))
     assert np.array_equal(ds.label_counts, batch.label_counts)
     assert_stats_equal(ds, batch, rtol=1e-12)
 
@@ -78,16 +85,16 @@ def test_with_label_chain_matches_batch_build(problem, data):
 def reference_sweep(X, m, labels, e, prior, prior_rates):
     """One sweep from the raw labels, one label at a time."""
     mean, prec = prior.mean, prior.precision
-    if labels:
+    if labels[0].size:
         rhs = prec @ mean
-        for (i, j), y in labels.items():
+        for i, j, y in zip(*labels):
             prec = prec + e[j] * np.outer(X[i], X[i])
             rhs = rhs + e[j] * y * X[i]
         mean = np.linalg.solve(prec, rhs)
     cov = np.linalg.inv(prec)
     rates = np.array(prior_rates, dtype=float)
     shapes = np.zeros(m)
-    for (i, j), y in labels.items():
+    for i, j, y in zip(*labels):
         fit = X[i] @ mean
         cross = 2.0 * y * fit
         rates[j] += 0.5 * (y * y - cross + fit * fit + X[i] @ cov @ X[i])
@@ -110,7 +117,7 @@ def random_weights(rng, d):
 def test_one_sweep_equals_public_updates_and_reference(problem):
     X, m, labels, rng = problem
     d = X.shape[1]
-    ds = CrowdDataset(X, labels, m)
+    ds = CrowdDataset(X, *labels, m)
     prior, pprior = random_weights(rng, d), random_gamma(rng, m)
     start, start_gamma = random_weights(rng, d), random_gamma(rng, m)
     weights, gammas, report = fit_variational(
@@ -147,8 +154,8 @@ def test_fit_is_equivariant_under_annotator_permutation(problem, data, sweeps):
     start, start_gamma = random_weights(rng, d), random_gamma(rng, m)
 
     def fit(ids, gamma_prior, gamma_start):
-        ds = CrowdDataset(X, {(i, int(ids[j])): y
-                              for (i, j), y in labels.items()}, m)
+        rows, annotators, values = labels
+        ds = CrowdDataset(X, rows, ids[annotators], values, m)
         return fit_variational(ds, prior, gamma_prior, max_sweeps=sweeps,
                                warm_start=(start, gamma_start))
 
@@ -174,12 +181,13 @@ def test_with_label_rejects_bad_labels_and_keeps_original(problem, kind,
                                                           bad_value):
     X, m, labels, rng = problem
     n = X.shape[0]
-    ds = CrowdDataset(X, labels, m)
+    ds = CrowdDataset(X, *labels, m)
     before = [a.copy() for a in ds._suffstats]
-    free = [(i, j) for i in range(n) for j in range(m) if (i, j) not in labels]
+    taken = set(zip(labels[0].tolist(), labels[1].tolist()))
+    free = [(i, j) for i in range(n) for j in range(m) if (i, j) not in taken]
     if kind == "duplicate":
-        assume(labels)
-        i, j = next(iter(labels))
+        assume(taken)
+        i, j = int(labels[0][0]), int(labels[1][0])
         y = 1.0
     elif kind == "instance":
         i, j, y = int(rng.choice([-1, n, n + 3])), 0, 1.0
@@ -190,7 +198,8 @@ def test_with_label_rejects_bad_labels_and_keeps_original(problem, kind,
         (i, j), y = free[0], bad_value
     with pytest.raises(InvalidInputError):
         ds.with_label(i, j, y)
-    assert ds.labels == labels
+    assert (triples(ds.rows, ds.annotators, ds.values)
+            == triples(*labels))
     for old, new in zip(before, ds._suffstats):
         assert np.array_equal(old, new)
 
@@ -269,8 +278,8 @@ def scipy_weight_step(stats, e, prior):
 @given(labeled_problems(max_d=16))
 def test_weight_step_equals_scipy_wrappers(problem):
     X, m, labels, rng = problem
-    assume(labels)
-    ds = CrowdDataset(X, labels, m)
+    assume(labels[0].size)
+    ds = CrowdDataset(X, *labels, m)
     prior = random_weights(rng, X.shape[1])
     e = random_gamma(rng, m).shape
     step = model._weight_step(ds._suffstats, e, prior, model._weight_rhs(prior))
@@ -284,8 +293,8 @@ def test_fitted_posterior_equals_public_constructor(problem, sweeps):
     # the fit reuses its last sweep's factor and covariance; the public
     # constructor recomputes both from the same mean and precision
     X, m, labels, rng = problem
-    assume(labels)
-    ds = CrowdDataset(X, labels, m)
+    assume(labels[0].size)
+    ds = CrowdDataset(X, *labels, m)
     d = X.shape[1]
     weights, _, _ = fit_variational(ds, random_weights(rng, d),
                                     random_gamma(rng, m), max_sweeps=sweeps)
@@ -316,7 +325,7 @@ def full_elbo(X, labels, weights, gammas, prior, pprior):
     labels_term = sum(
         0.5 * (log_beta[j] - log_2pi
                - e[j] * ((y - X[i] @ mean) ** 2 + X[i] @ cov @ X[i]))
-        for (i, j), y in labels.items())
+        for i, j, y in zip(*labels))
     dm, p0 = mean - prior.mean, prior.precision
     weight_prior_term = 0.5 * (np.linalg.slogdet(p0)[1] - d * log_2pi
                                - np.trace(p0 @ cov) - dm @ p0 @ dm)
@@ -335,7 +344,7 @@ def test_elbo_is_the_full_bound_up_to_one_constant(problem, scales):
     # any q(w) from a weight step, with the rates that are optimal for it:
     # the short form differs from the full bound by the same constant
     X, m, labels, rng = problem
-    ds = CrowdDataset(X, labels, m)
+    ds = CrowdDataset(X, *labels, m)
     prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
     gaps, sizes = [], []
     for scale in scales:
@@ -352,7 +361,7 @@ def test_elbo_is_the_full_bound_up_to_one_constant(problem, scales):
 @given(labeled_problems(), st.floats(0.05, 20.0))
 def test_elbo_never_decreases_across_plain_sweeps(problem, scale):
     X, m, labels, rng = problem
-    ds = CrowdDataset(X, labels, m)
+    ds = CrowdDataset(X, *labels, m)
     prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
     e = scale * rng.uniform(0.2, 1.0, m)
     bounds = []
@@ -376,7 +385,7 @@ def assert_close_to_max(got, want, rtol, scale=0.0):
 @given(labeled_problems())
 def test_accelerated_fit_reaches_the_plain_fixed_point(problem):
     X, m, labels, rng = problem
-    ds = CrowdDataset(X, labels, m)
+    ds = CrowdDataset(X, *labels, m)
     prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
     weights, gammas, report = fit_variational(ds, prior, pprior,
                                               tolerance=1e-10)
@@ -411,8 +420,8 @@ def test_a_stabilised_step_is_kept_only_if_the_bound_does_not_fall(problem,
     # is kept when its bound is not below the bound after the first sweep,
     # and the fit otherwise keeps the second plain step
     X, m, labels, rng = problem
-    assume(labels)
-    ds = CrowdDataset(X, labels, m)
+    assume(labels[0].size)
+    ds = CrowdDataset(X, *labels, m)
     prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
 
     def fit(sweeps):
@@ -449,9 +458,10 @@ def test_the_stop_does_not_depend_on_the_label_units(problem, c):
     # stop takes the same number of sweeps
     X, m, labels, rng = problem
     prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
-    weights, gammas, report = fit_variational(CrowdDataset(X, labels, m),
-                                              prior, pprior)
-    scaled = CrowdDataset(X, {k: c * y for k, y in labels.items()}, m)
+    rows, annotators, values = labels
+    weights, gammas, report = fit_variational(
+        CrowdDataset(X, rows, annotators, values, m), prior, pprior)
+    scaled = CrowdDataset(X, rows, annotators, c * values, m)
     s_weights, s_gammas, s_report = fit_variational(
         scaled, WeightPosterior(c * prior.mean, prior.precision / c ** 2),
         PrecisionPosterior(pprior.shape, c ** 2 * pprior.rate))
@@ -469,7 +479,7 @@ def test_the_bound_is_computed_once_per_kept_state(problem):
     # a kept stabilising sweep's bound is the next cycle's bound at r0: no
     # weight step's arrays reach the bound twice
     X, m, labels, rng = problem
-    ds = CrowdDataset(X, labels, m)
+    ds = CrowdDataset(X, *labels, m)
     prior, pprior = random_weights(rng, X.shape[1]), random_gamma(rng, m)
     seen = []
 

@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crowdreg
@@ -46,6 +47,21 @@ def test_predictive_is_the_one_variance_name():
     assert not hasattr(crowdreg, "instance_score")
     assert not hasattr(crowdreg.active, "instance_score")
     assert not hasattr(crowdreg.WeightPosterior, "quadform")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: crowdreg.CrowdDataset(np.ones((2, 1)), [0], [0], [1.0], 1),
+    lambda: crowdreg.WeightPosterior(np.zeros(2), np.eye(2)),
+    lambda: crowdreg.PrecisionPosterior([1.0, 2.0], [1.0, 1.0]),
+    lambda: crowdreg.TransformSpec(np.zeros((2, 1)), 1.0),
+    lambda: crowdreg.RegretLedger([0.0, 1.0], [0, 0]),
+], ids=["CrowdDataset", "WeightPosterior", "PrecisionPosterior",
+        "TransformSpec", "RegretLedger"])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    # field-wise == would compare arrays, whose truth value is ambiguous
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_version_matches_pyproject():
