@@ -28,18 +28,21 @@ def select_instance(candidates, features, weights: WeightPosterior) -> int:
     if features.ndim != 2 or features.shape[1] != weights.dim:
         raise InvalidInputError("feature rows do not match posterior dimension")
     if (candidates.ndim != 1 or candidates.dtype.kind not in "iu"
-            or candidates.min() < 0 or candidates.max() >= features.shape[0]):
+            or np.minimum.reduce(candidates) < 0
+            or np.maximum.reduce(candidates) >= features.shape[0]):
         raise InvalidInputError("candidates must be row indices of features")
     # a non-finite row outside the candidates must not warn
     with np.errstate(invalid="ignore", over="ignore"):
         scores = np.einsum("ij,ij->i", features @ weights.covariance,
                            features)[candidates]
     # a non-finite score means a non-finite row, or a finite one overflowing
-    if not (np.isfinite(scores).all()
-            or np.isfinite(features[candidates]).all()):
+    if not (np.logical_and.reduce(np.isfinite(scores))
+            or np.logical_and.reduce(np.isfinite(features[candidates]),
+                                     axis=None)):
         raise InvalidInputError("candidate rows must be finite")
     scores = np.maximum(scores, 0.0)
-    return int(candidates[scores == scores.max()].min())
+    return int(np.minimum.reduce(
+        candidates[scores == np.maximum.reduce(scores)]))
 
 
 def det_shrinkage(weights: WeightPosterior, x, beta: float) -> float:

@@ -30,6 +30,17 @@ __all__ = [
 ]
 
 
+def _arm(j, m: int) -> int:
+    """``j`` as an arm index in ``[0, m)``: a Python or numpy integer; a bool
+    or a float is rejected, not truncated.  Callers let an ``int`` in range
+    skip the call: ``type(j) is int`` is false for a bool."""
+    if (isinstance(j, bool) or not isinstance(j, numbers.Integral)
+            or not 0 <= j < m):
+        raise InvalidInputError(
+            f"annotator index {j!r}: need an integer in [0, {m})")
+    return int(j)
+
+
 class BanditState:
     """Mutable per-run bandit state over ``m`` annotators.
 
@@ -53,8 +64,13 @@ class BanditState:
     """
 
     def __init__(self, num_annotators: int, u: float, horizon: int):
-        if num_annotators < 1:
-            raise InvalidInputError("need at least one annotator")
+        if (isinstance(num_annotators, bool)
+                or not isinstance(num_annotators, numbers.Integral)
+                or num_annotators < 1):
+            raise InvalidInputError(
+                f"num_annotators must be an integer >= 1, got "
+                f"{num_annotators!r}")
+        num_annotators = int(num_annotators)
         if not u > 0:
             raise InvalidInputError("moment bound u must be positive")
         if not isinstance(horizon, numbers.Integral) or horizon < 2:
@@ -156,8 +172,8 @@ def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
     whether the new sample is within that cutoff (accepted); if not, it adds
     one to ``state.discarded``, which a later re-entry does not undo.
     """
-    if not 0 <= j < state.num_annotators:
-        raise InvalidInputError(f"annotator index {j} out of range")
+    if type(j) is not int or not 0 <= j < state.num_annotators:
+        j = _arm(j, state.num_annotators)
     residual_sq = float(residual_sq)
     if not (math.isfinite(residual_sq) and residual_sq >= 0):
         raise InvalidInputError("residual_sq must be finite and >= 0")
@@ -226,8 +242,8 @@ class RegretLedger:
         return cls(variances - variances.min(), np.zeros(betas.size, dtype=int))
 
     def record_pull(self, j: int) -> None:
-        if not 0 <= j < self.gaps.size:
-            raise InvalidInputError(f"annotator index {j} out of range")
+        if type(j) is not int or not 0 <= j < self.gaps.size:
+            j = _arm(j, self.gaps.size)
         self.pulls[j] += 1
 
 

@@ -35,11 +35,12 @@ class PaymentScheme:
 def payment(beta_hat, scheme: PaymentScheme):
     """Clamped linear payment; nondecreasing, bounded in [0, budget]."""
     b = np.asarray(beta_hat, dtype=float)
-    if not np.all(b >= 0):
+    if not np.logical_and.reduce(b >= 0, axis=None):
         raise InvalidInputError("estimated precision must be >= 0")
     # clamp before dividing: a huge estimate over a narrow band cannot overflow
     lo, hi = scheme.beta_lower, scheme.beta_upper
-    out = scheme.budget * ((np.clip(b, lo, hi) - lo) / (hi - lo))
+    clamped = np.minimum(np.maximum(b, lo), hi)
+    out = scheme.budget * ((clamped - lo) / (hi - lo))
     return float(out) if np.isscalar(beta_hat) else out
 
 

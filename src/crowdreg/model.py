@@ -43,6 +43,12 @@ __all__ = [
 # Relative tolerance for the symmetry check on precision matrices.
 _SYMMETRY_RTOL = 1e-10
 
+# Whole-array reductions called as ufunc methods: the ndarray methods
+# ``.all()``, ``.min()``, ``.max()`` and ``.sum()`` reach the same reductions
+# through a Python wrapper each, which the sweep would pay several times.
+_all, _min, _max, _sum = (np.logical_and.reduce, np.minimum.reduce,
+                          np.maximum.reduce, np.add.reduce)
+
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
@@ -56,7 +62,7 @@ def _cholesky(prec: np.ndarray, failure: str) -> np.ndarray:
     ``prec`` raises :class:`NumericalFailureError` with the message
     ``failure``.
     """
-    if np.isfinite(prec).all():
+    if _all(np.isfinite(prec), axis=None):
         factor, info = dpotrf(prec, lower=1, clean=0)
         if info == 0:
             return factor
@@ -133,8 +139,11 @@ class CrowdDataset:
             )
         if not np.all(np.isfinite(inst)):
             raise InvalidInputError("instances contain non-finite values")
-        if self.num_annotators < 1:
-            raise InvalidInputError("num_annotators must be at least 1")
+        m = self.num_annotators
+        if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+            raise InvalidInputError(
+                f"num_annotators must be an integer >= 1, got {m!r}")
+        object.__setattr__(self, "num_annotators", int(m))
         object.__setattr__(self, "instances", _frozen_array(inst))
         for name, v in zip(("rows", "annotators", "values"), _checked_labels(
                 self.rows, self.annotators, self.values, inst.shape[0],
@@ -277,6 +286,17 @@ class PrecisionPosterior:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rate", rate)
 
+    @classmethod
+    def _from_sweep(cls, shape, rate):
+        """Gamma factors from a fit's shapes and a checked rate step, which
+        are finite and > 0 by construction: frozen in place, not copied or
+        checked again."""
+        post = object.__new__(cls)
+        for a in (shape, rate):
+            a.setflags(write=False)
+        post.__dict__.update(shape=shape, rate=rate)
+        return post
+
 
 @dataclass(frozen=True)
 class FitReport:
@@ -309,32 +329,44 @@ def expected_precision(posterior: PrecisionPosterior) -> np.ndarray:
 
 
 def _weight_rhs(prior: WeightPosterior) -> np.ndarray:
-    """``[P0 mu0 | I]``, Fortran-ordered: the right-hand side of every weight
-    step under ``prior`` before the labels' term joins the first column."""
-    rhs = np.empty((prior.dim, prior.dim + 1), order="F")
-    rhs[:, 0] = prior.precision @ prior.mean
-    rhs[:, 1:] = np.eye(prior.dim)
+    """``[P0 mu0 | I]``, Fortran-ordered and read-only: the right-hand side
+    of every weight step under ``prior`` before the labels' term joins the
+    first column.  Built once per prior, which is frozen, and kept on it."""
+    rhs = prior.__dict__.get("_rhs")
+    if rhs is None:
+        rhs = np.empty((prior.dim, prior.dim + 1), order="F")
+        rhs[:, 0] = prior.precision @ prior.mean
+        rhs[:, 1:] = np.eye(prior.dim)
+        rhs.setflags(write=False)
+        prior.__dict__["_rhs"] = rhs
     return rhs
 
 
 def _weight_step(stats, e, prior, rhs):
     """(mean, precision, Cholesky factor, covariance) of q(w) given the
-    expected annotator precisions ``e``, or the prior's own arrays when no
-    label carries weight.  ``rhs`` is :func:`_weight_rhs` of the prior.
-    With :func:`_rate_step` it makes one sweep; neither validates its input.
+    expected annotator precisions ``e``, some of them > 0 on labeled
+    annotators (the caller's check).  ``rhs`` is :func:`_weight_rhs` of the
+    prior.  With :func:`_rate_step` it makes one sweep; neither validates
+    its input.
     """
-    grams, xty, _, counts = stats
-    if not counts @ e > 0:  # e >= 0: no labeled annotator has weight
-        return prior.mean, prior.precision, prior._factor, prior.covariance
-    prec = prior.precision + (e @ grams).reshape(prior.dim, prior.dim)
-    prec = 0.5 * (prec + prec.T)
-    factor = _cholesky(prec, "weight update produced a non-finite or non "
-                             "positive definite precision")
+    grams, xty, _, _ = stats
+    d = rhs.shape[0]
+    # 0.5 * (P + P') with P = P0 + E G, computed in place: each addition is
+    # commutative, so the bits are those of the allocating expression.
+    prec = (e @ grams).reshape(d, d)
+    prec += prior.precision
+    sym = prec + prec.T
+    sym *= 0.5
+    factor = _cholesky(sym, "weight update produced a non-finite or non "
+                            "positive definite precision")
     # One solve gives the mean (first column) and the covariance.
     sol = rhs.copy(order="F")
     sol[:, 0] += e @ xty
     sol, _ = dpotrs(factor, sol, lower=1, overwrite_b=1)
-    return sol[:, 0], prec, factor, 0.5 * (sol[:, 1:] + sol[:, 1:].T)
+    inv = sol[:, 1:]
+    cov = inv + inv.T
+    cov *= 0.5
+    return sol[:, 0], sym, factor, cov
 
 
 def _rate_step(stats, mean, cov, prior_rates):
@@ -343,14 +375,20 @@ def _rate_step(stats, mean, cov, prior_rates):
     ``grams @ vec(cov + mean mean')`` is each annotator's summed E[(x'w)^2].
     The label-mean cross term carries the mean-field factor of two; the
     paper's printed update has a factor of one, which fails the
-    single-source check.
+    single-source check.  The rates are
+    ``prior + ((ysq - 2 xty @ mean) + second) / 2``, summed in that order.
     """
     grams, xty, ysq, _ = stats
-    second = grams @ (cov + np.outer(mean, mean)).ravel()
-    cross = 2.0 * (xty @ mean)
-    rates = prior_rates + 0.5 * (ysq - cross + second)
+    moment = mean[:, None] * mean
+    moment += cov
+    rates = xty @ mean
+    rates *= 2.0
+    np.subtract(ysq, rates, out=rates)
+    rates += grams @ moment.ravel()
+    rates *= 0.5
+    rates += prior_rates
     # Unlabeled annotators keep their prior rate (> 0); NaN fails too.
-    if not (0 < rates.min() and rates.max() < np.inf):
+    if not (0 < _min(rates) and _max(rates) < np.inf):
         raise NumericalFailureError(
             "precision update produced a non-positive rate; the weight "
             "posterior has likely diverged")
@@ -376,10 +414,11 @@ def vi_update_weights(
             f"expected_betas must be {m} finite values >= 0, got {e!r}")
     if dataset.d != prior.dim:
         raise InvalidInputError("dataset and weight posterior dimensions differ")
-    step = _weight_step(dataset._suffstats, e, prior, _weight_rhs(prior))
-    if step[1] is prior.precision:
+    stats = dataset._suffstats
+    if not stats[3] @ e > 0:  # no labeled annotator has weight
         return prior
-    return WeightPosterior._from_sweep(*step)
+    return WeightPosterior._from_sweep(
+        *_weight_step(stats, e, prior, _weight_rhs(prior)))
 
 
 def vi_update_precision(
@@ -417,8 +456,8 @@ def _elbo(shapes, rates, q, prior) -> float:
     """
     mean, _, factor, cov = q
     dm = mean - prior.mean
-    return float(-shapes @ np.log(rates) - np.log(factor.diagonal()).sum()
-                 - 0.5 * ((prior.precision * cov).sum()
+    return float(-shapes @ np.log(rates) - _sum(np.log(factor.diagonal()))
+                 - 0.5 * (_sum(prior.precision * cov, axis=None)
                           + dm @ prior.precision @ dm))
 
 
@@ -433,7 +472,7 @@ def _squarem_rates(r0, r1, r2):
         return None
     alpha = min(-1.0, -math.sqrt((s @ s) / vv))
     trial = r0 - 2.0 * alpha * s + alpha * alpha * v
-    return trial if np.isfinite(trial).all() and trial.min() > 0 else None
+    return trial if _all(np.isfinite(trial)) and _min(trial) > 0 else None
 
 
 def fit_variational(
@@ -466,12 +505,21 @@ def fit_variational(
     ``iterations``, the stabilising one included.  Hitting ``max_sweeps``
     first is not an error; the report records which happened.
 
-    The priors and the warm start are validated once, on entry.  Each sweep
-    works on the dataset's stacked sufficient statistics and factors the
-    weight precision once (LAPACK ``dpotrf``); one ``dpotrs`` call then gives
-    the mean and the covariance.  The returned weight posterior reuses the
-    kept sweep's mean, precision, factor and covariance: it skips the
-    symmetry check and the factorization that the public constructor runs.
+    Validated once per fit, on entry: ``tolerance``, ``max_sweeps``, and the
+    dimension and annotator count of the priors and the warm start.  Whether
+    the dataset holds any label is also read once: without labels every
+    weight step is the prior, and with them every expected precision
+    ``shape / rate`` is > 0, so no sweep tests for a weightless step.  Each
+    sweep works on the dataset's stacked sufficient statistics and factors
+    the weight precision once (LAPACK ``dpotrf``); one ``dpotrs`` call then
+    gives the mean and the covariance.  Three checks run on every sweep (the
+    first two when a label is held) and raise
+    :class:`NumericalFailureError`: the weight precision is finite before
+    ``dpotrf``, ``dpotrf`` reports it positive definite, and every new rate
+    lies in (0, inf).  The returned posteriors reuse the kept
+    sweep's arrays, frozen in place: the weight posterior skips the symmetry
+    check and the factorization that the public constructor runs, and the
+    Gamma factors skip the range check that their rates already passed.
     """
     m = dataset.num_annotators
     if not tolerance > 0:
@@ -488,14 +536,23 @@ def fit_variational(
 
     stats = dataset._suffstats
     rhs = _weight_rhs(weight_prior)
-    shapes = precision_priors.shape + dataset.label_counts / 2.0
+    shapes = precision_priors.shape + stats[3] / 2.0
+    prior_rates = precision_priors.rate
+    # Without labels every weight step is the prior's; with them, each
+    # labeled annotator's expected precision shape / rate is > 0.
+    prior_q = None if dataset.total_labels else (
+        weight_prior.mean, weight_prior.precision, weight_prior._factor,
+        weight_prior.covariance)
 
     def sweep(e, rates):
         """F at expected precisions ``e``: the new rates, the weight step's
         arrays and the relative rate change from ``rates``."""
-        q = _weight_step(stats, e, weight_prior, rhs)
-        new = _rate_step(stats, q[0], q[3], precision_priors.rate)
-        return new, q, float((np.abs(new - rates) / new).max())
+        q = prior_q or _weight_step(stats, e, weight_prior, rhs)
+        new = _rate_step(stats, q[0], q[3], prior_rates)
+        change = new - rates
+        np.abs(change, out=change)
+        change /= new
+        return new, q, float(_max(change))
 
     rates, q, delta = sweep(start_precisions.shape / start_precisions.rate,
                             start_precisions.rate)
@@ -526,9 +583,8 @@ def fit_variational(
                     bound = trial_bound
                     converged = delta < tolerance
 
-    weights = (WeightPosterior._from_sweep(*q)
-               if dataset.total_labels else weight_prior)
-    return (weights, PrecisionPosterior(shapes, rates),
+    weights = weight_prior if prior_q else WeightPosterior._from_sweep(*q)
+    return (weights, PrecisionPosterior._from_sweep(shapes, rates),
             FitReport(sweeps, converged, delta))
 
 

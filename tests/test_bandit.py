@@ -212,6 +212,41 @@ class TestRecordOutcome:
         with pytest.raises(InvalidInputError):
             record_outcome(state, 2, 1.0)
 
+    @pytest.mark.parametrize("j", [True, False, 1.5, 1.0, np.float64(1.0),
+                                   np.bool_(True), "1", None])
+    def test_non_integer_index_leaves_state_untouched(self, j):
+        state = BanditState(3, 10.0, horizon=100)
+        initialize_state(state, [[0.1], [0.2], [100.0]])
+        def snapshot():
+            return (state.t, state.discarded, state.pulls.tolist(),
+                    state.accepted_counts.tolist(),
+                    state.truncated_means.tolist(), list(state._kept_sums),
+                    [list(w) for w in state._waiting])
+
+        before = snapshot()
+        with pytest.raises(InvalidInputError, match="^annotator index"):
+            record_outcome(state, j, 0.1)
+        assert snapshot() == before
+
+    @pytest.mark.parametrize("j", [np.int64(1), np.uint8(1), np.intp(1)])
+    def test_numpy_integer_index_is_an_arm(self, j):
+        state = BanditState(3, 10.0, horizon=100)
+        assert record_outcome(state, j, 0.25)
+        assert list(state.pulls) == [0, 1, 0] and state.t == 1
+        assert state.truncated_means[1] == -0.25
+
+
+@pytest.mark.parametrize("m", [2.5, True, np.float64(2.0), 0, "2"])
+def test_bandit_state_rejects_a_non_integer_annotator_count(m):
+    with pytest.raises(InvalidInputError, match="^num_annotators"):
+        BanditState(m, 1.0, horizon=10)
+
+
+def test_bandit_state_takes_a_numpy_integer_annotator_count():
+    state = BanditState(np.int64(3), 1.0, horizon=10)
+    assert state.num_annotators == 3 and type(state.num_annotators) is int
+    assert list(state.pulls) == [0, 0, 0]
+
 
 class TestInitializeState:
     def test_bulk_load_sets_counts_and_round(self):
@@ -337,6 +372,14 @@ class TestRegretAccounting:
         for _ in range(10):
             ledger.record_pull(0)
         assert regret_seq(ledger) == 0.0
+
+    @pytest.mark.parametrize("j", [True, 1.0, 0.5, np.bool_(False), -1, 3])
+    def test_bad_pull_index_leaves_ledger_untouched(self, j):
+        ledger = RegretLedger.from_precisions([4.0, 1.0, 2.0])
+        ledger.record_pull(np.int64(2))
+        with pytest.raises(InvalidInputError, match="^annotator index"):
+            ledger.record_pull(j)
+        assert list(ledger.pulls) == [0, 0, 1]
 
 
 class TestRegretBound:

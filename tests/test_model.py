@@ -60,6 +60,17 @@ class TestCrowdDataset:
                 CrowdDataset(np.ones((2, 2)), rows, annotators, values, 1)
 
 
+    @pytest.mark.parametrize("m", [2.5, True, np.float64(2.0), 0, "2"])
+    def test_rejects_a_non_integer_annotator_count(self, m):
+        with pytest.raises(InvalidInputError, match="^num_annotators"):
+            CrowdDataset(np.ones((2, 2)), [0], [0], [1.0], m)
+
+    def test_takes_a_numpy_integer_annotator_count(self):
+        ds = CrowdDataset(np.ones((2, 2)), [0], [0], [1.0], np.int64(2))
+        assert ds.num_annotators == 2 and type(ds.num_annotators) is int
+        assert ds.with_label(1, 1, 2.0).num_annotators == 2
+
+
 class TestWeightPosterior:
     def test_rejects_asymmetric_precision(self):
         with pytest.raises(InvalidInputError):
