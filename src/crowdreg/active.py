@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, PoolExhaustedError
+from .errors import InvalidInputError, PoolExhaustedError, _positive
 from .model import WeightPosterior, predictive
 
 __all__ = ["select_instance", "det_shrinkage", "error_contraction_bounds"]
@@ -53,8 +53,7 @@ def det_shrinkage(weights: WeightPosterior, x, beta: float) -> float:
     det(new covariance) / det(old covariance) = 1 / (1 + beta x' P^-1 x),
     a value in (0, 1].
     """
-    if not beta > 0:
-        raise InvalidInputError("beta must be positive")
+    beta = _positive(beta, "beta")
     return 1.0 / (1.0 + beta * predictive(x, weights)[1])
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _finite_array, _integer, _positive
 
 __all__ = [
     "BanditState",
@@ -30,24 +29,14 @@ __all__ = [
 ]
 
 
-def _arm(j, m: int) -> int:
-    """``j`` as an arm index in ``[0, m)``: a Python or numpy integer; a bool
-    or a float is rejected, not truncated.  Callers let an ``int`` in range
-    skip the call: ``type(j) is int`` is false for a bool."""
-    if (isinstance(j, bool) or not isinstance(j, numbers.Integral)
-            or not 0 <= j < m):
-        raise InvalidInputError(
-            f"annotator index {j!r}: need an integer in [0, {m})")
-    return int(j)
-
-
 class BanditState:
     """Mutable per-run bandit state over ``m`` annotators.
 
     ``u`` bounds the second moment of the rewards (for residuals of a Gaussian
-    with variance at most s^2, u = 3 s^4 works).  ``horizon`` is the number of
-    plays the run makes, an integer >= 2; the confidence parameter is fixed at
-    horizon^-2, so log(1/delta) = 2 log(horizon) is computed once and the
+    with variance at most s^2, u = 3 s^4 works); it must be finite, > 0 and
+    small enough that the width constant 32 u log(horizon) is finite.
+    ``horizon`` is the number of plays the run makes, an integer >= 2; the
+    confidence parameter is fixed at horizon^-2, so log(1/delta) = 2 log(horizon) is computed once and the
     cutoff sqrt(u t / log(1/delta)) strictly increases with the round ``t``.
 
     Because the cutoff never falls, a sample that enters an arm's truncated
@@ -64,20 +53,14 @@ class BanditState:
     """
 
     def __init__(self, num_annotators: int, u: float, horizon: int):
-        if (isinstance(num_annotators, bool)
-                or not isinstance(num_annotators, numbers.Integral)
-                or num_annotators < 1):
+        num_annotators = _integer(num_annotators, "num_annotators", 1)
+        self.u = _positive(u, "u")
+        self.horizon = _integer(horizon, "horizon", 2)
+        if not math.isfinite(32.0 * self.u * math.log(self.horizon)):
             raise InvalidInputError(
-                f"num_annotators must be an integer >= 1, got "
-                f"{num_annotators!r}")
-        num_annotators = int(num_annotators)
-        if not u > 0:
-            raise InvalidInputError("moment bound u must be positive")
-        if not isinstance(horizon, numbers.Integral) or horizon < 2:
-            raise InvalidInputError("horizon must be an integer >= 2")
+                f"u={u!r} is too large for horizon={horizon!r}: the UCB "
+                f"width 32 u log(horizon) overflows")
         self.num_annotators = num_annotators
-        self.u = float(u)
-        self.horizon = int(horizon)
         self.pulls = np.zeros(num_annotators, dtype=int)
         self.accepted_counts = np.zeros(num_annotators, dtype=int)
         self.truncated_means = np.zeros(num_annotators)
@@ -102,9 +85,8 @@ def truncated_mean(samples, threshold: float) -> tuple[float, int]:
     mean is defined as 0.  This is the reference estimator; the bandit state
     keeps the same mean incrementally.
     """
-    if not threshold > 0:
-        raise InvalidInputError("threshold must be positive")
-    xs = np.asarray(samples, dtype=float)
+    threshold = _positive(threshold, "threshold")
+    xs = _finite_array(samples, "samples", 1)
     if xs.size == 0:
         return 0.0, 0
     keep = np.abs(xs) <= threshold
@@ -173,7 +155,7 @@ def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
     one to ``state.discarded``, which a later re-entry does not undo.
     """
     if type(j) is not int or not 0 <= j < state.num_annotators:
-        j = _arm(j, state.num_annotators)
+        j = _integer(j, "annotator index", 0, state.num_annotators - 1)
     residual_sq = float(residual_sq)
     if not (math.isfinite(residual_sq) and residual_sq >= 0):
         raise InvalidInputError("residual_sq must be finite and >= 0")
@@ -222,11 +204,9 @@ class RegretLedger:
     pulls: np.ndarray
 
     def __post_init__(self):
-        gaps = np.asarray(self.gaps, dtype=float)
-        if gaps.ndim != 1 or gaps.size < 1:
-            raise InvalidInputError("gaps must be a non-empty vector")
-        if np.any(gaps < 0) or not np.all(np.isfinite(gaps)):
-            raise InvalidInputError("gaps must be finite and >= 0")
+        gaps = _finite_array(self.gaps, "gaps", 1)
+        if gaps.size < 1 or np.any(gaps < 0):
+            raise InvalidInputError("gaps must be non-empty and >= 0")
         self.gaps = gaps
         self.pulls = np.asarray(self.pulls, dtype=int).copy()
         if self.pulls.shape != gaps.shape:
@@ -235,15 +215,15 @@ class RegretLedger:
     @classmethod
     def from_precisions(cls, precisions) -> "RegretLedger":
         """Gaps 1/beta_j - 1/beta_best from true annotator precisions."""
-        betas = np.asarray(precisions, dtype=float)
-        if np.any(betas <= 0):
-            raise InvalidInputError("precisions must be positive")
+        betas = _finite_array(precisions, "precisions", 1)
+        if betas.size < 1 or np.any(betas <= 0):
+            raise InvalidInputError("precisions must be non-empty and > 0")
         variances = 1.0 / betas
         return cls(variances - variances.min(), np.zeros(betas.size, dtype=int))
 
     def record_pull(self, j: int) -> None:
         if type(j) is not int or not 0 <= j < self.gaps.size:
-            j = _arm(j, self.gaps.size)
+            j = _integer(j, "annotator index", 0, self.gaps.size - 1)
         self.pulls[j] += 1
 
 
@@ -257,9 +237,8 @@ def regret_bound(gaps, u: float, horizon: float) -> float:
     32 u log(horizon) / gap + 5 gap."""
     if not horizon >= 2:
         raise InvalidInputError("horizon must be at least 2")
-    if not u > 0:
-        raise InvalidInputError("moment bound u must be positive")
-    g = np.asarray(gaps, dtype=float)
+    u = _positive(u, "u")
+    g = _finite_array(gaps, "gaps", 1)
     g = g[g > 0]
     if g.size == 0:
         return 0.0

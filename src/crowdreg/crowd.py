@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _finite_array, _integer, _positive
 from .mechanism import PaymentScheme, utility
 
 __all__ = [
@@ -43,19 +43,15 @@ class CostFunction:
     def __post_init__(self):
         if self.kind not in _COST_FAMILIES:
             raise InvalidInputError(f"kind must be one of {_COST_FAMILIES}")
-        params = tuple(float(p) for p in self.params)
+        params = tuple(_finite_array(self.params, "params", 1).tolist())
         expected = 3 if self.kind == "threshold" else 1
         if len(params) != expected:
-            raise InvalidInputError(
-                f"{self.kind} cost takes {expected} parameter(s), got {len(params)}"
-            )
-        if not params[0] > 0:
-            raise InvalidInputError(
-                "leading cost coefficient must be positive, otherwise the "
-                "cost is not strictly increasing"
-            )
-        if self.kind == "threshold" and (params[1] < 0 or params[2] < 0):
-            raise InvalidInputError("threshold cost needs b >= 0 and knee >= 0")
+            raise InvalidInputError(f"{self.kind} cost takes {expected} "
+                                    f"parameter(s), got {len(params)}")
+        # a > 0 and b, knee >= 0 make the cost strictly increasing
+        if not (params[0] > 0 and min(params) >= 0):
+            raise InvalidInputError(f"params need a > 0 and b, knee >= 0, "
+                                    f"got {params}")
         object.__setattr__(self, "params", params)
 
     def __call__(self, beta):
@@ -86,8 +82,8 @@ class AnnotatorProfile:
     strategic: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.best_precision) and self.best_precision > 0):
-            raise InvalidInputError("best_precision must be positive")
+        _integer(self.id, "id", 0)
+        _positive(self.best_precision, "best_precision")
 
 
 def make_annotators(m, good, interval_good, interval_bad, seed):
@@ -98,11 +94,12 @@ def make_annotators(m, good, interval_good, interval_bad, seed):
     ``interval_bad`` for the rest.  Each interval needs finite bounds
     ``0 < lo <= hi``; degenerate ``[c, c]`` intervals pin the value exactly.
     """
-    if not 0 <= good <= m:
-        raise InvalidInputError("need 0 <= good <= m")
-    for lo, hi in (interval_good, interval_bad):
-        if not 0 < lo <= hi < np.inf:
-            raise InvalidInputError(f"invalid noise interval [{lo}, {hi}]")
+    m = _integer(m, "m", 0)
+    good = _integer(good, "good", 0, m)
+    for name, (lo, hi) in (("interval_good", interval_good),
+                           ("interval_bad", interval_bad)):
+        if _positive(lo, name) > _positive(hi, name):
+            raise InvalidInputError(f"{name} [{lo}, {hi}] needs lo <= hi")
     rng = np.random.default_rng(seed)
     sd = np.concatenate([
         rng.uniform(interval_good[0], interval_good[1], size=good),
@@ -119,7 +116,7 @@ def label_value(profile: AnnotatorProfile, true_value, effort: float, noise):
     one call labels many instances at one effort.  Effort cannot exceed the
     annotator's best precision.
     """
-    if not 0 < effort <= profile.best_precision:
+    if _positive(effort, "effort") > profile.best_precision:
         raise InvalidInputError(
             f"effort {effort} outside (0, {profile.best_precision}]"
         )
@@ -136,8 +133,7 @@ def optimal_effort(profile: AnnotatorProfile, scheme: PaymentScheme,
     the returned effort is 0.  Non-strategic annotators always work at best
     precision.
     """
-    if grid < 2:
-        raise InvalidInputError("grid must have at least 2 points")
+    grid = _integer(grid, "grid", 2)
     if not profile.strategic:
         return profile.best_precision, True
     if profile.cost is None:

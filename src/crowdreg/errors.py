@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+every public function runs on its scalar and array arguments.
+
+A Python or numpy integer counts as an integer, and a Python or numpy integer
+or float as a number; a bool is neither.  Each check returns the argument in
+its checked form or raises :class:`InvalidInputError` naming the argument.
+"""
+
+import math
+from numbers import Integral, Real
+
+import numpy as np
 
 __all__ = [
     "CrowdError",
@@ -28,3 +39,43 @@ class PoolExhaustedError(CrowdError, RuntimeError):
 
 class DataFormatError(CrowdError, ValueError):
     """A data file could not be parsed; the message names the offending cell."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int`` in ``[low, high]`` (``high`` None: no upper
+    limit); a float or a bool is rejected, not truncated."""
+    if not (_is_int(value) and low <= value
+            and (high is None or value <= high)):
+        limits = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidInputError(
+            f"{name} must be an integer {limits}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a ``float``, finite and > 0."""
+    if not (_is_real(value) and 0 < value < math.inf):
+        raise InvalidInputError(
+            f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _finite_array(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as a float array with ``ndim`` (1 or 2) dimensions and only
+    finite entries; a float array is returned as it is, not copied."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim or not np.isfinite(arr).all():
+        raise InvalidInputError(
+            f"{name} must be a finite {('vector', 'matrix')[ndim - 1]}")
+    return arr

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _finite_array, _integer, _positive
 
 __all__ = [
     "TransformSpec",
@@ -33,15 +33,11 @@ class TransformSpec:
     scale: float
 
     def __post_init__(self):
-        if not 0 < self.scale < np.inf:
-            raise InvalidInputError("scale must be finite and positive")
-        centers = np.asarray(self.centers, dtype=float)
-        if centers.ndim != 2 or centers.shape[0] < 1:
-            raise InvalidInputError(
-                "sigmoid transform needs a 2-D array of reference points"
-            )
+        object.__setattr__(self, "scale", _positive(self.scale, "scale"))
+        centers = _finite_array(self.centers, "centers", 2)
+        if centers.shape[0] < 1:
+            raise InvalidInputError("centers must hold a reference point")
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "scale", float(self.scale))
 
 
 def _squared_distances(X, centers):
@@ -102,16 +98,12 @@ def fit_centers(X, k: int, seed) -> np.ndarray:
     generator, so the result is deterministic given the seed.  Iterates to an
     assignment fixed point or 100 iterations.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InvalidInputError("X must be a non-empty 2-D array")
+    X = _finite_array(X, "X", 2)
+    if X.shape[0] < 1:
+        raise InvalidInputError("X must hold a row")
     distinct = np.unique(X, axis=0)
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
-    if k > distinct.shape[0]:
-        raise InvalidInputError(
-            f"k={k} exceeds the {distinct.shape[0]} distinct points"
-        )
+    # at most one cluster per distinct point
+    k = _integer(k, "k", 1, distinct.shape[0])
     rng = np.random.default_rng(seed)
     init = distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
     return _lloyd(X, init)
@@ -119,16 +111,11 @@ def fit_centers(X, k: int, seed) -> np.ndarray:
 
 def transform(x, spec: TransformSpec) -> np.ndarray:
     """Apply the sigmoid transform to one vector or row-wise to a matrix."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    rows = arr[None, :] if single else arr
-    if rows.ndim != 2:
-        raise InvalidInputError("input must be a vector or a matrix of rows")
+    single = np.ndim(x) == 1
+    rows = _finite_array(np.atleast_2d(x) if single else x, "x", 2)
     if rows.shape[1] != spec.centers.shape[1]:
-        raise InvalidInputError(
-            f"input dimension {rows.shape[1]} does not match reference "
-            f"point dimension {spec.centers.shape[1]}"
-        )
+        raise InvalidInputError(f"x has dimension {rows.shape[1]}, the "
+                                f"reference points {spec.centers.shape[1]}")
     dist = np.sqrt(_squared_distances(rows, spec.centers))
     out = 1.0 / (1.0 + np.exp(-dist / spec.scale))
     return out[0] if single else out
@@ -143,7 +130,7 @@ class Normalization(NamedTuple):
 
 def apply_normalization(X, params: Normalization) -> np.ndarray:
     """Shift and scale with stored parameters; zero-variance features map to 0."""
-    X = np.asarray(X, dtype=float)
+    X = _finite_array(X, "X", 2)
     out = X - params.mean
     nonzero = params.scale > 0
     out[:, nonzero] /= params.scale[nonzero]
@@ -157,8 +144,8 @@ def normalize(X) -> tuple[np.ndarray, Normalization]:
     Returns the normalized matrix and the affine parameters so that test data
     can be mapped through the identical transformation.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.size == 0:
-        raise InvalidInputError("X must be a non-empty 2-D array")
+    X = _finite_array(X, "X", 2)
+    if X.size == 0:
+        raise InvalidInputError("X must hold a value")
     params = Normalization(X.mean(axis=0), X.std(axis=0))
     return apply_normalization(X, params), params

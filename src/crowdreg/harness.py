@@ -19,13 +19,12 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import bandit as bd
 from .crowd import AnnotatorProfile, label_value, make_annotators
-from .errors import DataFormatError, InvalidInputError
+from .errors import DataFormatError, InvalidInputError, _is_int, _is_real
 from .features import (TransformSpec, apply_normalization, fit_centers,
                        normalize, transform)
 from .mechanism import PaymentScheme, settle
@@ -97,14 +96,10 @@ _WRITERS = {"csv": _csv_lines, "jsonl": _jsonl_lines}
 FORMATS = tuple(_WRITERS)
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, Real) and not isinstance(v, bool)
-
-
 # Declared config field type (a string: annotations are postponed) -> test
 # of a value.  Integers reject bool and float; numbers reject bool.
 _TYPE_TESTS = {
-    "int": lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+    "int": _is_int,
     "float": _is_real,
     "float | None": lambda v: v is None or _is_real(v),
     "str": lambda v: isinstance(v, str),

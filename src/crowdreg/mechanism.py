@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _positive
 from .model import PrecisionPosterior, expected_precision
 
 __all__ = ["PaymentScheme", "payment", "utility", "settle"]
@@ -25,10 +25,10 @@ class PaymentScheme:
     beta_upper: float
 
     def __post_init__(self):
-        if not 0 < self.budget < np.inf:
-            raise InvalidInputError("budget must be finite and positive")
-        if not 0 < self.beta_lower < self.beta_upper < np.inf:
-            raise InvalidInputError(f"need 0 < beta_lower < beta_upper < inf, "
+        for name in ("budget", "beta_lower", "beta_upper"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        if not self.beta_lower < self.beta_upper:
+            raise InvalidInputError(f"need beta_lower < beta_upper, "
                                     f"got [{self.beta_lower}, {self.beta_upper}]")
 
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import (InvalidInputError, NumericalFailureError, _finite_array,
+                     _integer, _is_int, _is_real, _positive)
 
 __all__ = [
     "CrowdDataset",
@@ -131,19 +131,11 @@ class CrowdDataset:
     num_annotators: int
 
     def __post_init__(self):
-        inst = np.asarray(self.instances, dtype=float)
-        if inst.ndim != 2 or inst.shape[1] < 1:
-            raise InvalidInputError(
-                f"instances must be a 2-D array with at least one feature, "
-                f"got shape {inst.shape}"
-            )
-        if not np.all(np.isfinite(inst)):
-            raise InvalidInputError("instances contain non-finite values")
-        m = self.num_annotators
-        if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
-            raise InvalidInputError(
-                f"num_annotators must be an integer >= 1, got {m!r}")
-        object.__setattr__(self, "num_annotators", int(m))
+        inst = _finite_array(self.instances, "instances", 2)
+        if inst.shape[1] < 1:
+            raise InvalidInputError("instances need at least one feature")
+        object.__setattr__(self, "num_annotators", _integer(
+            self.num_annotators, "num_annotators", 1))
         object.__setattr__(self, "instances", _frozen_array(inst))
         for name, v in zip(("rows", "annotators", "values"), _checked_labels(
                 self.rows, self.annotators, self.values, inst.shape[0],
@@ -192,8 +184,7 @@ class CrowdDataset:
         O(L) label vectors, then adds the label with O(d^2) arithmetic.
         """
         n, m, k = self.n, self.num_annotators, self.total_labels
-        if not (all(isinstance(v, kind) and not isinstance(v, bool)
-                    for v, kind in ((i, Integral), (j, Integral), (y, Real)))
+        if not (_is_int(i) and _is_int(j) and _is_real(y)
                 and 0 <= i < n and 0 <= j < m and math.isfinite(y)
                 and not (self.rows[self.annotators == j] == i).any()):
             raise _label_error(k, i, j, y, n, m)
@@ -226,17 +217,12 @@ class WeightPosterior:
     precision: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        prec = np.asarray(self.precision, dtype=float)
-        if mean.ndim != 1:
-            raise InvalidInputError("mean must be a 1-D vector")
+        mean = _finite_array(self.mean, "mean", 1)
+        prec = _finite_array(self.precision, "precision", 2)
         d = mean.shape[0]
         if prec.shape != (d, d):
-            raise InvalidInputError(
-                f"precision shape {prec.shape} does not match mean dimension {d}"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(prec))):
-            raise InvalidInputError("posterior parameters must be finite")
+            raise InvalidInputError(f"precision shape {prec.shape} does not "
+                                    f"match mean dimension {d}")
         asym = np.abs(prec - prec.T).max()
         scale = max(np.abs(prec).max(), 1e-300)
         if asym > _SYMMETRY_RTOL * scale:
@@ -315,11 +301,13 @@ class FitReport:
 
 def default_weight_prior(d: int) -> WeightPosterior:
     """Zero mean, identity precision."""
+    d = _integer(d, "d", 1)
     return WeightPosterior(np.zeros(d), np.eye(d))
 
 
 def default_precision_priors(m: int) -> PrecisionPosterior:
     """Gamma(1, 1) for every one of ``m`` annotators."""
+    m = _integer(m, "m", 1)
     return PrecisionPosterior(np.ones(m), np.ones(m))
 
 
@@ -407,9 +395,9 @@ def vi_update_weights(
     normal equations.  With no labels (or all expectations zero) the prior is
     returned unchanged.
     """
-    e = np.asarray(expected_betas, dtype=float)
+    e = _finite_array(expected_betas, "expected_betas", 1)
     m = dataset.num_annotators
-    if e.shape != (m,) or not np.all(np.isfinite(e)) or np.any(e < 0):
+    if e.shape != (m,) or np.any(e < 0):
         raise InvalidInputError(
             f"expected_betas must be {m} finite values >= 0, got {e!r}")
     if dataset.d != prior.dim:
@@ -505,8 +493,8 @@ def fit_variational(
     ``iterations``, the stabilising one included.  Hitting ``max_sweeps``
     first is not an error; the report records which happened.
 
-    Validated once per fit, on entry: ``tolerance``, ``max_sweeps``, and the
-    dimension and annotator count of the priors and the warm start.  Whether
+    Validated once per fit, on entry: ``tolerance`` (finite, > 0),
+    ``max_sweeps`` (an integer >= 1), and the dimension and annotator count of the priors and the warm start.  Whether
     the dataset holds any label is also read once: without labels every
     weight step is the prior, and with them every expected precision
     ``shape / rate`` is > 0, so no sweep tests for a weightless step.  Each
@@ -522,10 +510,8 @@ def fit_variational(
     Gamma factors skip the range check that their rates already passed.
     """
     m = dataset.num_annotators
-    if not tolerance > 0:
-        raise InvalidInputError("tolerance must be positive")
-    if max_sweeps < 1:
-        raise InvalidInputError("max_sweeps must be at least 1")
+    tolerance = _positive(tolerance, "tolerance")
+    max_sweeps = _integer(max_sweeps, "max_sweeps", 1)
     start, start_precisions = warm_start or (weight_prior, precision_priors)
     for weights, precisions in ((weight_prior, precision_priors),
                                 (start, start_precisions)):
@@ -596,10 +582,9 @@ def predictive(x: np.ndarray, weights: WeightPosterior) -> tuple[float, float]:
     ``x = 0``), solved against the posterior's Cholesky factor.  The
     variance is the instance-selection score of :mod:`crowdreg.active`.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != weights.dim or not np.isfinite(x).all():
+    x = _finite_array(x, "x", 1)
+    if x.shape[0] != weights.dim:
         raise InvalidInputError(
-            f"test point must be a finite vector of dimension {weights.dim}"
-        )
+            f"x has dimension {x.shape[0]}, the posterior {weights.dim}")
     sol, _ = dpotrs(weights._factor, x, lower=1)
     return float(x @ weights.mean), float(max(x @ sol, 0.0))

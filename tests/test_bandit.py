@@ -397,3 +397,11 @@ class TestRegretBound:
     def test_horizon_floor(self):
         with pytest.raises(InvalidInputError):
             regret_bound([1.0], 1.0, 1.5)
+
+
+def test_bandit_state_rejects_a_moment_bound_whose_ucb_width_overflows():
+    state = BanditState(3, 1e300, horizon=10)  # 32 u log 10 is finite
+    initialize_state(state, [[0.1], [0.2], [0.3]])
+    assert np.all(np.isfinite(bandit._ucb_values(state)))
+    with pytest.raises(InvalidInputError, match=r"^u=1e\+308 .*horizon=10"):
+        BanditState(3, 1e308, horizon=10)

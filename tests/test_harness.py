@@ -690,3 +690,11 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # baseline + 2 rounds
         assert json.loads(lines[-1])["round"] == 2
+
+
+def test_a_moment_bound_that_overflows_the_ucb_width_fails_the_run():
+    # the config takes any finite u; the bandit rejects one whose width
+    # 32 u log(horizon) overflows, before the first round
+    config = ExperimentConfig(u_override=1e308, repetitions=1, budget=5)
+    with pytest.raises(InvalidInputError, match=r"^u=1e\+308 .*horizon="):
+        run_experiment(config)

@@ -3,12 +3,14 @@ names, and the package re-exports every one of them."""
 
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crowdreg
+from crowdreg import InvalidInputError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,3 +70,80 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as fh:
         assert crowdreg.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+# One row per argument that a public callable used to accept, repair or fail
+# on with a bare numpy error: (callable, valid keyword arguments, the
+# argument, a bad value).  The call with the bad value must raise
+# InvalidInputError naming the argument.
+_DATA = crowdreg.CrowdDataset(np.eye(2), [0, 1], [0, 0], [1.0, 2.0], 1)
+_FIT = dict(dataset=_DATA, weight_prior=crowdreg.default_weight_prior(2),
+            precision_priors=crowdreg.default_precision_priors(1))
+_POPULATION = dict(m=3, good=1, interval_good=(0.1, 1.0),
+                   interval_bad=(1.0, 2.0), seed=0)
+_POINTS = np.arange(8.0).reshape(4, 2)
+_CENTERS = np.zeros((1, 2))
+_SCHEME = crowdreg.PaymentScheme(1.0, 1.0, 2.0)
+_WORKER = crowdreg.AnnotatorProfile(
+    0, 4.0, crowdreg.CostFunction("linear", (1.0,)), strategic=True)
+_WITH_NAN = [[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]
+
+BOUNDARY_ROWS = [
+    (crowdreg.fit_variational, _FIT, "max_sweeps", 1.5),
+    (crowdreg.fit_variational, _FIT, "max_sweeps", True),
+    (crowdreg.fit_variational, _FIT, "tolerance", np.inf),
+    (crowdreg.make_annotators, _POPULATION, "m", True),
+    (crowdreg.make_annotators, _POPULATION, "good", 1.5),
+    (crowdreg.fit_centers, dict(X=_POINTS, k=2, seed=0), "k", 2.5),
+    (crowdreg.fit_centers, dict(X=_POINTS, k=2, seed=0), "k", True),
+    (crowdreg.fit_centers, dict(X=_POINTS, k=2, seed=0), "X", _WITH_NAN),
+    (crowdreg.optimal_effort, dict(profile=_WORKER, scheme=_SCHEME),
+     "grid", 2.5),
+    (crowdreg.RegretLedger.from_precisions, dict(precisions=[1.0, 2.0]),
+     "precisions", []),
+    (crowdreg.AnnotatorProfile, dict(id=0, best_precision=1.0),
+     "best_precision", True),
+    (crowdreg.TransformSpec, dict(centers=_CENTERS, scale=1.0), "scale", True),
+    (crowdreg.TransformSpec, dict(centers=_CENTERS, scale=1.0), "centers",
+     [[np.nan, 0.0]]),
+    (crowdreg.PaymentScheme, dict(budget=1.0, beta_lower=1.0, beta_upper=2.0),
+     "budget", True),
+    (crowdreg.label_value,
+     dict(profile=_WORKER, true_value=1.0, effort=1.0, noise=0.5),
+     "effort", True),
+    (crowdreg.CostFunction, dict(kind="threshold", params=(1, 1, 1)),
+     "params", (1, np.nan, 1)),
+    (crowdreg.BanditState, dict(num_annotators=3, u=1.0, horizon=10),
+     "u", np.inf),
+    # 32 u log(horizon) overflows, so every UCB index would be +inf
+    (crowdreg.BanditState, dict(num_annotators=3, u=1.0, horizon=10),
+     "u", 1e308),
+    (crowdreg.normalize, dict(X=_POINTS), "X", _WITH_NAN),
+    (crowdreg.transform,
+     dict(x=_POINTS, spec=crowdreg.TransformSpec(_CENTERS, 1.0)),
+     "x", _WITH_NAN),
+    (crowdreg.truncated_mean, dict(samples=[0.5, 1.0], threshold=2.0),
+     "samples", [np.nan, 1.0]),
+    (crowdreg.regret_bound, dict(gaps=[0.0, 1.0], u=1.0, horizon=10),
+     "gaps", [np.nan, 1.0]),
+    (crowdreg.RegretLedger.from_precisions, dict(precisions=[1.0, 2.0]),
+     "precisions", [np.inf, 1.0]),
+    (crowdreg.AnnotatorProfile, dict(id=0, best_precision=1.0), "id", True),
+    (crowdreg.default_weight_prior, dict(d=2), "d", True),
+    (crowdreg.default_precision_priors, dict(m=2), "m", 2.5),
+    (crowdreg.apply_normalization,
+     dict(X=_POINTS, params=crowdreg.normalize(_POINTS)[1]), "X", _WITH_NAN),
+    (crowdreg.det_shrinkage,
+     dict(weights=crowdreg.default_weight_prior(2), x=[1.0, 0.0], beta=1.0),
+     "beta", np.inf),
+]
+
+
+@pytest.mark.parametrize("call, valid, name, bad", BOUNDARY_ROWS,
+                         ids=[f"{row[0].__qualname__}-{row[2]}-{row[3]!r}"
+                              for row in BOUNDARY_ROWS])
+def test_a_bad_argument_fails_naming_it(call, valid, name, bad):
+    call(**valid)
+    with pytest.raises(InvalidInputError) as info:
+        call(**dict(valid, **{name: bad}))
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
