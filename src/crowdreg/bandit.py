@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _finite_array, _integer, _positive
+from .errors import (InvalidInputError, _finite_array, _integer, _is_real,
+                     _positive)
 
 __all__ = [
     "BanditState",
@@ -34,7 +36,8 @@ class BanditState:
 
     ``u`` bounds the second moment of the rewards (for residuals of a Gaussian
     with variance at most s^2, u = 3 s^4 works); it must be finite, > 0 and
-    small enough that the width constant 32 u log(horizon) is finite.
+    small enough that the width constant 32 u log(horizon) and the cutoff at
+    round ``horizon`` are finite.
     ``horizon`` is the number of plays the run makes, an integer >= 2; the
     confidence parameter is fixed at horizon^-2, so log(1/delta) = 2 log(horizon) is computed once and the
     cutoff sqrt(u t / log(1/delta)) strictly increases with the round ``t``.
@@ -60,6 +63,12 @@ class BanditState:
             raise InvalidInputError(
                 f"u={u!r} is too large for horizon={horizon!r}: the UCB "
                 f"width 32 u log(horizon) overflows")
+        if not (self.horizon <= sys.float_info.max
+                and math.isfinite(self.u * self.horizon)):
+            raise InvalidInputError(
+                f"u={u!r} is too large for horizon={horizon!r}: the "
+                f"truncation cutoff sqrt(u t / 2 log horizon) overflows "
+                f"by t = horizon")
         self.num_annotators = num_annotators
         self.pulls = np.zeros(num_annotators, dtype=int)
         self.accepted_counts = np.zeros(num_annotators, dtype=int)
@@ -75,7 +84,18 @@ def truncation_threshold(state: BanditState) -> float:
     """Magnitude cutoff sqrt(u t / (2 log horizon)) at the current round."""
     if state.t < 1:
         raise InvalidInputError("threshold is defined only after the first round")
-    return math.sqrt(state.u * state.t / state._log_inv_delta)
+    return _cutoff(state, state.t)
+
+
+def _cutoff(state: BanditState, t: int) -> float:
+    """The cutoff at round ``t``; it can overflow only past the horizon, and
+    then fails instead of admitting every sample."""
+    threshold = math.sqrt(state.u * t / state._log_inv_delta)
+    if threshold == math.inf:
+        raise InvalidInputError(
+            f"the truncation cutoff overflows at round t={t}, past "
+            f"horizon={state.horizon} for u={state.u!r}")
+    return threshold
 
 
 def truncated_mean(samples, threshold: float) -> tuple[float, int]:
@@ -102,18 +122,24 @@ def _ucb_values(state: BanditState) -> np.ndarray:
 
     One pass over whole arrays.  Each pulled arm gets c / n_j, then the
     square root, then + mean; those operations, in that order, fix the bits
-    of every index and so of every pull."""
+    of every index and so of every pull.  Once every arm has been pulled
+    (all but the first m rounds) the divide is a plain one; before that it
+    is masked, and the unpulled arms keep +inf."""
+    pulls = state.pulls
+    counts = pulls.tolist()
     t = state.t
     if t < 1:
-        if np.any(state.pulls > 0):
+        if max(counts) > 0:
             raise InvalidInputError(
                 f"round counter t={t} is below 1 but an arm has been pulled")
         t = 1  # log 1 = 0; no arm is pulled, so the width is never read
-    pulls = state.pulls
-    values = np.empty(state.num_annotators)
-    values.fill(np.inf)
-    np.divide(32.0 * state.u * math.log(t), pulls, out=values,
-              where=pulls > 0)
+    c = 32.0 * state.u * math.log(t)
+    if min(counts) > 0:
+        values = c / pulls
+    else:
+        values = np.empty(state.num_annotators)
+        values.fill(np.inf)
+        np.divide(c, pulls, out=values, where=pulls > 0)
     np.sqrt(values, out=values)
     values += state.truncated_means
     return values
@@ -153,14 +179,16 @@ def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
     rejected earlier re-enters once the cutoff has grown past it.  Returns
     whether the new sample is within that cutoff (accepted); if not, it adds
     one to ``state.discarded``, which a later re-entry does not undo.
+    Past the horizon the new cutoff can overflow; the call then fails and
+    leaves the state untouched.
     """
     if type(j) is not int or not 0 <= j < state.num_annotators:
         j = _integer(j, "annotator index", 0, state.num_annotators - 1)
     residual_sq = float(residual_sq)
     if not (math.isfinite(residual_sq) and residual_sq >= 0):
         raise InvalidInputError("residual_sq must be finite and >= 0")
+    threshold = _cutoff(state, state.t + 1)
     state.t += 1
-    threshold = truncation_threshold(state)
     _admit(state, j, (residual_sq,), threshold)
     return residual_sq <= threshold
 
@@ -169,8 +197,9 @@ def initialize_state(state: BanditState, residual_sqs) -> BanditState:
     """Prime a fresh state with pre-collected squared residuals.
 
     ``residual_sqs`` holds one sequence per annotator (for example residuals
-    of an initial pool labeled by everyone).  The whole batch is checked
-    before the state changes, so a rejected call leaves it untouched.  The
+    of an initial pool labeled by everyone).  The whole batch, and the
+    cutoff of the round it reaches, are checked before the state changes, so
+    a rejected call leaves it untouched.  The
     round counter then jumps to the total count and every sample arrives at
     the one cutoff of that round: those outside it wait, and are exactly the
     discarded ones in the sense of ``BanditState.discarded``.
@@ -183,10 +212,11 @@ def initialize_state(state: BanditState, residual_sqs) -> BanditState:
     if not all(math.isfinite(value) and value >= 0
                for seq in batch for value in seq):
         raise InvalidInputError("residuals must be finite and >= 0")
-    state.t = sum(map(len, batch))
-    if state.t == 0:
+    t = sum(map(len, batch))
+    if t == 0:
         return state
-    threshold = truncation_threshold(state)
+    threshold = _cutoff(state, t)
+    state.t = t
     for j, seq in enumerate(batch):
         _admit(state, j, seq, threshold)
     return state
@@ -235,8 +265,9 @@ def regret_seq(ledger: RegretLedger) -> float:
 def regret_bound(gaps, u: float, horizon: float) -> float:
     """Logarithmic regret ceiling: sum over positive gaps of
     32 u log(horizon) / gap + 5 gap."""
-    if not horizon >= 2:
-        raise InvalidInputError("horizon must be at least 2")
+    if not (_is_real(horizon) and 2 <= horizon < math.inf):
+        raise InvalidInputError(
+            f"horizon must be a finite number >= 2, got {horizon!r}")
     u = _positive(u, "u")
     g = _finite_array(gaps, "gaps", 1)
     g = g[g > 0]

@@ -109,9 +109,16 @@ class TestUcbIndex:
             return values
 
         m = data.draw(st.integers(1, 60), label="m")
-        # few distinct pulls and means, so equal indices (ties) are common
-        pulls = data.draw(st.lists(st.integers(0, 4) | st.integers(0, 10**6),
-                                   min_size=m, max_size=m), label="pulls")
+        # few distinct pulls and means, so equal indices (ties) are common;
+        # half the states have every arm pulled (the plain divide), a quarter
+        # have none pulled, which may still be at round 0
+        counts = st.integers(0, 4) | st.integers(0, 10**6)
+        if data.draw(st.booleans(), label="every arm pulled"):
+            counts = st.integers(1, 4) | st.integers(1, 10**6)
+        elif data.draw(st.booleans(), label="no arm pulled"):
+            counts = st.just(0)
+        pulls = data.draw(st.lists(counts, min_size=m, max_size=m),
+                          label="pulls")
         means = data.draw(st.lists(
             st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-1e6, 1e6),
             min_size=m, max_size=m), label="means")
@@ -119,7 +126,8 @@ class TestUcbIndex:
                             horizon=10)
         state.pulls[:] = pulls
         state.truncated_means[:] = means
-        state.t = data.draw(st.integers(1, 10**9), label="t")
+        state.t = data.draw(st.integers(0 if max(pulls) == 0 else 1, 10**9),
+                            label="t")
         with np.errstate(all="raise"):
             reference = masked_reference(state)
             values = bandit._ucb_values(state)
@@ -156,6 +164,17 @@ class TestSelectAnnotator:
             chosen.append(j)
             record_outcome(state, j, float(rng.uniform(0, 0.5)))
         assert sorted(chosen) == list(range(6))
+
+    @pytest.mark.parametrize("m", [1, 5, 50])
+    def test_a_fresh_state_pulls_the_arms_in_index_order(self, m):
+        rng = np.random.default_rng(m)
+        state = BanditState(m, 1.0, horizon=1000)
+        chosen = []
+        for _ in range(m):
+            j = select_annotator(state)
+            chosen.append(j)
+            record_outcome(state, j, float(rng.uniform(0, 5)))
+        assert chosen == list(range(m))
 
 
 class TestRecordOutcome:
@@ -405,3 +424,36 @@ def test_bandit_state_rejects_a_moment_bound_whose_ucb_width_overflows():
     assert np.all(np.isfinite(bandit._ucb_values(state)))
     with pytest.raises(InvalidInputError, match=r"^u=1e\+308 .*horizon=10"):
         BanditState(3, 1e308, horizon=10)
+
+
+def test_bandit_state_rejects_a_moment_bound_whose_cutoff_overflows():
+    # 32 u log(horizon) is finite, but u * horizon is not: from about round
+    # 1,800 the cutoff would read inf and admit every sample untruncated
+    with pytest.raises(InvalidInputError,
+                       match=r"^u=1e\+305 .*horizon=10000.*cutoff"):
+        BanditState(2, 1e305, horizon=10000)
+    # u * 100 is finite
+    assert truncation_threshold(played_state(2, 1e306, 100, t=100)) < math.inf
+
+
+def test_a_round_whose_cutoff_overflows_fails_and_changes_nothing():
+    # u * t overflows from t = 180 on, past the horizon of 100
+    state = BanditState(2, 1e306, horizon=100)
+    for _ in range(179):
+        record_outcome(state, select_annotator(state), 1e300)
+    before = (state.t, state.discarded, state.pulls.tolist(),
+              state.accepted_counts.tolist(), state.truncated_means.tolist())
+    with pytest.raises(InvalidInputError, match=r"round t=180.*horizon=100"):
+        record_outcome(state, 0, 1e300)
+    assert (state.t, state.discarded, state.pulls.tolist(),
+            state.accepted_counts.tolist(),
+            state.truncated_means.tolist()) == before
+
+
+def test_a_batch_whose_cutoff_overflows_leaves_the_state_fresh():
+    state = BanditState(2, 1e306, horizon=100)
+    with pytest.raises(InvalidInputError, match=r"round t=200.*horizon=100"):
+        initialize_state(state, [[1.0] * 100, [1.0] * 100])
+    assert state.t == 0 and state.pulls.tolist() == [0, 0]
+    initialize_state(state, [[1.0] * 90, [1.0] * 89])
+    assert state.t == 179

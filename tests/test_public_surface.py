@@ -118,6 +118,15 @@ BOUNDARY_ROWS = [
     # 32 u log(horizon) overflows, so every UCB index would be +inf
     (crowdreg.BanditState, dict(num_annotators=3, u=1.0, horizon=10),
      "u", 1e308),
+    # u * horizon overflows, so the cutoff would read inf by t = horizon
+    (crowdreg.BanditState, dict(num_annotators=2, u=1.0, horizon=10000),
+     "u", 1e305),
+    (crowdreg.regret_bound, dict(gaps=[0.0, 1.0], u=1.0, horizon=10),
+     "horizon", np.inf),
+    (crowdreg.regret_bound, dict(gaps=[0.0, 1.0], u=1.0, horizon=10),
+     "horizon", np.nan),
+    (crowdreg.regret_bound, dict(gaps=[0.0, 1.0], u=1.0, horizon=10),
+     "horizon", True),
     (crowdreg.normalize, dict(X=_POINTS), "X", _WITH_NAN),
     (crowdreg.transform,
      dict(x=_POINTS, spec=crowdreg.TransformSpec(_CENTERS, 1.0)),
