@@ -47,6 +47,63 @@ def _squared_distances(X, centers):
     return cdist(X, centers, metric="sqeuclidean")
 
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+_QUARTER_MAX = np.finfo(float).max / 4
+
+
+def _nearest(X, centers, norms, out):
+    """Index of each row's nearest center, ties to the lowest index.
+
+    Returns exactly ``np.argmin(_squared_distances(X, centers), axis=1)``,
+    from one GEMM and ``cdist`` over only the rows the GEMM cannot certify.
+    ``norms`` holds the rows' squared norms and ``out`` is a k × n float
+    buffer that the call overwrites, so that ``_lloyd`` computes the one and
+    allocates the other once for all its iterations.
+
+    The GEMM gives G[k, i] = |c_k|² − 2 x_i·c_k, which is cdist's value D
+    minus |x_i|², a constant per row.  Row i is certified when its runner-up
+    G exceeds its best by more than 2τ_i, where τ_i bounds |Ĝ − (D̂ − |x_i|²)|
+    over every center: the best is then cdist's unique argmin.  With u = ε/2,
+    γ_m = m·u / (1 − m·u) and s = |x_i|² + maxₖ |c_k|², one factor at a time:
+
+    - cdist: each term (x_j − c_j)² carries three rounding factors and the
+      sum of d nonnegative terms d − 1 more, in any order, so
+      |D̂ − D| ≤ γ_{d+2}·D, and D ≤ 2(|x|² + |c|²) ≤ 2s;
+    - the product −2c·x has d terms of total size 2Σ|c_j x_j| ≤ s, so it is
+      off by γ_d·s; the computed |c|² is off by γ_d·|c|² ≤ γ_d·s; adding the
+      two rounds once more, on a sum of size at most 2s: |Ĝ − G| ≤ 2γ_{d+1}·s;
+    - together at most 4γ_{d+2}·s ≤ 2(d + 3)·ε·s (for d < 2^25).  τ takes
+      16(d + 3)·ε·s, which leaves a factor of 8 for the rounding of the
+      norms, of s, of τ and of the margin itself.
+
+    Gradual underflow adds at most 2^−1075 to each of the 3d products above
+    and nothing to a sum, hence the absolute term 16(d + 3)·2^−1074 in τ.  A
+    row with s above a quarter of the largest float, where a partial sum
+    could overflow, is not certified, and neither is a row whose margin is
+    NaN or a tie (margin 0).
+    """
+    n, d = X.shape
+    cc = np.einsum("ij,ij->i", centers, centers)
+    # an inf or NaN below only leaves its row uncertified
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.matmul(-2.0 * centers, X.T, out=out)
+        g += cc[:, None]
+        best = g.min(axis=0)
+        nearest = np.zeros(n, dtype=np.intp)  # lowest index at the best value
+        for c in range(centers.shape[0] - 1, 0, -1):
+            np.putmask(nearest, g[c] == best, c)
+        g[nearest, np.arange(n)] = np.inf
+        s = norms + cc.max()
+        tau = 16 * (d + 3) * (_EPS * s + _TINY)
+        certified = (g.min(axis=0) - best > 2 * tau) & (s <= _QUARTER_MAX)
+    rows = np.flatnonzero(~certified)
+    if rows.size:
+        nearest[rows] = np.argmin(_squared_distances(X[rows], centers),
+                                  axis=1)
+    return nearest
+
+
 def _resolve_empty(X, assign, k):
     """Give every empty cluster the farthest point of the largest cluster.
 
@@ -68,16 +125,21 @@ def _resolve_empty(X, assign, k):
 def _lloyd(X, centers, max_iter=100):
     """Run Lloyd iterations from the given centers; returns the final centers.
 
+    Each assignment step is ``_nearest``: one GEMM into a k × n buffer
+    allocated once per call, with ``cdist`` only for the rows its rounding
+    certificate cannot decide, so it is cdist's argmin on every BLAS kernel.
     Each centroid step sums the clusters column by column with ``bincount``,
     adding rows in order from 0.0 as the masked mean ``X[mask].mean(axis=0)``
     does for two or more columns, so the centers match it to the bit.
     """
     k, d = centers.shape
     columns = np.ascontiguousarray(X.T)  # bincount reads contiguous weights
+    norms = np.einsum("ij,ij->i", X, X)
+    buffer = np.empty((k, X.shape[0]))
     assign = None
     for _ in range(max_iter):
         new_assign, counts = _resolve_empty(
-            X, np.argmin(_squared_distances(X, centers), axis=1), k)
+            X, _nearest(X, centers, norms, buffer), k)
         if d == 1:  # a one-column masked mean sums pairwise, not row by row
             centers = np.vstack([X[new_assign == c].mean(axis=0)
                                  for c in range(k)])
@@ -96,7 +158,9 @@ def fit_centers(X, k: int, seed) -> np.ndarray:
 
     Initialization samples ``k`` distinct points uniformly with the seeded
     generator, so the result is deterministic given the seed.  Iterates to an
-    assignment fixed point or 100 iterations.
+    assignment fixed point or 100 iterations.  Each row goes to the center
+    nearest by ``cdist``'s squared distance (ties to the lowest index),
+    whatever the BLAS kernel; see ``_lloyd``.
     """
     X = _finite_array(X, "X", 2)
     if X.shape[0] < 1:

@@ -12,7 +12,8 @@ from crowdreg import (
     normalize,
     transform,
 )
-from crowdreg.features import _lloyd, _resolve_empty
+from crowdreg import features
+from crowdreg.features import _lloyd, _nearest, _resolve_empty
 
 
 class TestFitCenters:
@@ -108,6 +109,126 @@ def test_lloyd_equals_the_reference_after_empty_cluster_repair(problem, far):
     X, k, _ = problem
     far = min(far, X.shape[0] - k)
     init = np.vstack([X[:k], np.full((far, X.shape[1]), 1e6)])
+    assert _lloyd(X, init).tobytes() == masked_mean_lloyd(X, init).tobytes()
+
+
+def nearest(X, C):
+    return _nearest(X, C, np.einsum("ij,ij->i", X, X),
+                    np.empty((C.shape[0], X.shape[0])))
+
+
+def record_fallback_rows(monkeypatch, seen):
+    """Wrap ``_squared_distances`` so that every row it sees lands in seen."""
+    real = features._squared_distances
+
+    def wrapped(X, centers):
+        seen.extend(row.tobytes() for row in X)
+        return real(X, centers)
+
+    monkeypatch.setattr(features, "_squared_distances", wrapped)
+
+
+@st.composite
+def nearest_problems(draw):
+    """Rows and centers built to tie exactly or nearly, then scaled by a power
+    of two from 2^-560, where products are subnormal or zero, to 2^520, where
+    squares overflow; X is C- or Fortran-ordered, and k = 1 and d = 1 occur.
+
+    ``duplicate`` repeats center 0 as the last center and puts row i on it.
+    ``bisector`` puts centers 0 and 1 at row i ± t along the first axis, with
+    the row's first coordinate 0, so the two mirror each other across the
+    hyperplane that holds the row.  ``near`` keeps the row's first coordinate,
+    so x_0 + t and x_0 - t round apart and the two distances differ in their
+    last bits, or not at all, while for t much smaller than the row the
+    GEMM's cancellation errs by far more.
+    """
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    values = st.floats(-1e3, 1e3) | st.integers(-4, 4).map(float)
+
+    def matrix(rows):
+        return np.array(draw(st.lists(
+            st.lists(values, min_size=d, max_size=d),
+            min_size=rows, max_size=rows)))
+
+    X, C = matrix(n), matrix(k)
+    kind = draw(st.sampled_from(["free", "duplicate", "bisector", "near"]))
+    i = draw(st.integers(0, n - 1))
+    if k >= 2 and kind == "duplicate":
+        C[-1] = C[0]
+        X[i] = C[0]
+    elif k >= 2 and kind in ("bisector", "near"):
+        if kind == "bisector":
+            X[i, 0] = 0.0
+        t = draw(values) * 2.0 ** -draw(st.integers(0, 40))
+        C[0] = C[1] = X[i]
+        C[0, 0] += t
+        C[1, 0] -= t
+    # the sampled exponents put squares at the edge of overflow or underflow
+    scale = 2.0 ** draw(st.integers(-560, 520)
+                        | st.sampled_from([-541, -537, 509, 510, 511]))
+    X, C = X * scale, C * scale
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    return X, C, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearest_problems())
+def test_nearest_equals_the_cdist_argmin(problem):
+    X, C, kind = problem
+    reference = cdist(X, C, "sqeuclidean")
+    seen = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        record_fallback_rows(monkeypatch, seen)
+        got = nearest(X, C)  # and no overflow warning: tier-1 raises it
+    assert got.dtype == np.intp
+    assert got.tobytes() == np.argmin(reference, axis=1).astype(
+        np.intp).tobytes()
+    # a row whose smallest distance is attained twice is never certified
+    tied = np.flatnonzero(
+        (reference == reference.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+    assert all(X[r].tobytes() in seen for r in tied)
+    if kind == "duplicate" and C.shape[0] >= 2:
+        assert tied.size > 0
+
+
+def test_exact_ties_go_through_cdist(monkeypatch):
+    # rows on the bisector of two mirrored centers, and a row on a
+    # duplicated center: every one ties exactly and only they fall back
+    C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0], [0.0, 5.0]])
+    X = np.array([[0.0, 0.5], [0.0, -2.0], [0.9, 0.1], [0.0, 5.0],
+                  [-3.0, 1.0]])
+    seen = []
+    record_fallback_rows(monkeypatch, seen)
+    assert nearest(X, C).tolist() == [0, 0, 0, 2, 1]
+    assert seen == [X[0].tobytes(), X[1].tobytes(), X[3].tobytes()]
+
+
+def test_rows_with_underflowing_products_fall_back():
+    # every product is subnormal, where rounding errs by an absolute amount:
+    # cdist ties centers 0 and 2 at 21 * 2^-1074, and a purely relative
+    # bound certified the GEMM's center 2
+    X = np.array([[9.0, -54.0]]) * 2.0**-541
+    C = np.array([[-61.0, -29.0], [-34.0, 38.0], [61.0, -4.0]]) * 2.0**-541
+    assert nearest(X, C).tolist() == [0]
+
+
+def test_rows_whose_distances_overflow_fall_back():
+    # both cdist distances overflow to inf, so cdist's argmin is 0, while
+    # the GEMM values |c|^2 - 2 x c are finite and put center 1 first
+    X = np.array([[3.0]]) * 2.0**510
+    C = np.array([[-1.5], [-1.4]]) * 2.0**510
+    assert np.isinf(cdist(X, C, "sqeuclidean")).all()
+    assert nearest(X, C).tolist() == [0]
+
+
+def test_fit_centers_on_overflowing_distances_matches_the_reference():
+    # squared distances of 1e200 overflow; the assignment falls back to
+    # cdist without an overflow warning
+    X = np.array([[1e200, 0.0], [2e200, 1.0], [-1e200, 3.0]])
+    init = X[[0, 2]]
     assert _lloyd(X, init).tobytes() == masked_mean_lloyd(X, init).tobytes()
 
 
