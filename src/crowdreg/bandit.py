@@ -21,7 +21,6 @@ from .errors import (InvalidInputError, _finite_array, _integer, _is_real,
 __all__ = [
     "BanditState",
     "RegretLedger",
-    "truncation_threshold",
     "truncated_mean",
     "select_annotator",
     "record_outcome",
@@ -80,16 +79,10 @@ class BanditState:
         self._waiting = [[] for _ in range(num_annotators)]
 
 
-def truncation_threshold(state: BanditState) -> float:
-    """Magnitude cutoff sqrt(u t / (2 log horizon)) at the current round."""
-    if state.t < 1:
-        raise InvalidInputError("threshold is defined only after the first round")
-    return _cutoff(state, state.t)
-
-
 def _cutoff(state: BanditState, t: int) -> float:
-    """The cutoff at round ``t``; it can overflow only past the horizon, and
-    then fails instead of admitting every sample."""
+    """The magnitude cutoff sqrt(u t / (2 log horizon)) at round ``t``; it
+    can overflow only past the horizon, and then fails instead of admitting
+    every sample."""
     threshold = math.sqrt(state.u * t / state._log_inv_delta)
     if threshold == math.inf:
         raise InvalidInputError(

@@ -28,8 +28,9 @@ from .errors import DataFormatError, InvalidInputError, _is_int, _is_real
 from .features import (TransformSpec, apply_normalization, fit_centers,
                        normalize, transform)
 from .mechanism import PaymentScheme, settle
-from .model import (CrowdDataset, default_precision_priors,
-                    default_weight_prior, fit_variational)
+from .model import (CrowdDataset, PrecisionPosterior, WeightPosterior,
+                    default_precision_priors, default_weight_prior,
+                    fit_variational)
 from .active import select_instance
 
 __all__ = [
@@ -400,26 +401,26 @@ def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12):
     return X, y
 
 
-def _fit_block(instances, answers, columns):
-    """``(dataset, weights, precisions, report)``: every annotator's answers
-    on the pool rows ``columns`` as a dataset over ``instances``, in row
-    order within each annotator, and its fit at the defaults."""
+def _fit_block(instances, answers, columns, priors):
+    """``(dataset, weights, precisions)``: every annotator's answers on the
+    pool rows ``columns`` as a dataset over ``instances``, in row order within
+    each annotator, and its fit under ``priors``, a (weight prior, precision
+    priors) pair, at the fit's defaults."""
     m = answers.shape[0]
     dataset = CrowdDataset(instances, np.tile(columns, m),
                            np.repeat(np.arange(m), len(columns)),
                            answers[:, columns].ravel(), m)
-    return dataset, *fit_variational(dataset, default_weight_prior(dataset.d),
-                                     default_precision_priors(m))
+    return dataset, *fit_variational(dataset, *priors)[:2]
 
 
-def _choose_scale(config, rep_seed, pool_features, centers, seed_answers):
+def _choose_scale(config, rep_seed, features, centers, seed_answers, priors):
     """Pick the sigmoid scale from ``s_grid`` by held-out validation.
 
     ``seed_answers`` is the m x k block of crowd answers on the first k pool
     rows.  With a single candidate there is nothing to choose.  Otherwise
-    20% of those rows are held out, each candidate's model is fitted on the
-    block's other columns, and it is scored by RMSE against the held-out
-    mean crowd label.
+    20% of those rows are held out, each candidate's model is fitted under
+    ``priors`` on the block's other columns, and it is scored by RMSE
+    against the held-out mean crowd label.
     """
     if len(config.s_grid) == 1:
         return config.s_grid[0]
@@ -433,43 +434,74 @@ def _choose_scale(config, rep_seed, pool_features, centers, seed_answers):
     best_s, best_err = None, np.inf
     for s in config.s_grid:
         spec = TransformSpec(centers, s)
-        phi = transform(pool_features[:k], spec)
-        weights = _fit_block(phi, seed_answers, train_idx)[1]
+        phi = transform(features[:k], spec)
+        weights = _fit_block(phi, seed_answers, train_idx, priors)[1]
         err = rmse(phi[val_idx] @ weights.mean, val_target)
         if err < best_err:
             best_s, best_err = s, err
     return best_s
 
 
-def _setup(config, data, rep_seed, k):
+@dataclass(frozen=True, eq=False)
+class _Repetition:
+    """One repetition's set-up, which ``_setup`` builds once.
+
+    ``pool_idx`` maps pool positions to data rows, and ``answers[j, i]`` is
+    annotator ``j``'s label on pool row ``i``; ``efforts`` are the
+    annotators' true precisions.  ``instance_rule`` and ``annotator_rule``
+    are the strategy's row of ``_RULES``.  ``priors`` is the one (weight
+    prior, precision priors) pair under which every fit of the repetition
+    runs: the scale search, the seed fit and each round's refit.
+    ``dataset`` is the seed block over the pool features, and ``weights``
+    and ``precisions`` are its fit.
+    """
+
+    test_phi: np.ndarray
+    test_z: np.ndarray
+    pool_idx: np.ndarray
+    answers: np.ndarray
+    efforts: np.ndarray
+    instance_rule: str
+    annotator_rule: str
+    priors: tuple[WeightPosterior, PrecisionPosterior]
+    dataset: CrowdDataset
+    weights: WeightPosterior
+    precisions: PrecisionPosterior
+
+    def test_rmse(self, weights) -> float:
+        """RMSE of the posterior mean ``weights.mean`` on the test split."""
+        return rmse(self.test_phi @ weights.mean, self.test_z)
+
+
+def _setup(config, data, rep_seed, k) -> _Repetition:
     """Split, normalize, draw the population and its answers, label the first
     ``k`` pool rows (all of them when ``k`` is None) with every annotator,
     transform the features and fit.
 
-    ``answers[j, i]`` is annotator ``j``'s label on pool row ``i``: the true
-    value plus ``default_rng([rep_seed, _LABEL, j]).standard_normal(n_pool)[i]``
-    scaled to the annotator's effort.  So a label depends only on (rep_seed,
+    ``answers[j, i]`` is the true value of pool row ``i`` plus
+    ``default_rng([rep_seed, _LABEL, j]).standard_normal(n_pool)[i]`` scaled
+    to annotator ``j``'s effort.  So a label depends only on (rep_seed,
     annotator, pool row), whichever strategy asks for it and in whatever
     order.
 
     The seed dataset is the block ``answers[:, :k]`` as label vectors:
     ``rows = tile(arange(k), m)``, ``annotators = repeat(arange(m), k)`` and
-    ``values = answers[:, :k].ravel()``.  Returns ``(test_phi, test_z,
-    weights, precisions, dataset, pool_idx, answers, efforts)``; ``pool_idx``
-    maps pool positions to data rows.  The answers come first: a
-    grid-searched sigmoid scale needs them.
+    ``values = answers[:, :k].ravel()``.  The answers come first: a
+    grid-searched sigmoid scale needs them.  The priors are built once, at
+    the pool's width, which the sigmoid transform keeps (k-means fits one
+    center per feature).
     """
     X, z = data
-    n = X.shape[0]
+    n, d = X.shape
     perm = np.random.default_rng([rep_seed, _SPLIT]).permutation(n)
-    n_test = int(round(n * config.test_fraction))
-    n_test = min(max(n_test, 1), n - 1)
+    n_test = min(max(round(n * config.test_fraction), 1), n - 1)
     test_idx, pool_idx = perm[:n_test], perm[n_test:]
     pool_norm, params = normalize(X[pool_idx])
     test_norm = apply_normalization(X[test_idx], params)
     pool_z, test_z = z[pool_idx], z[test_idx]
 
-    if _RULES[config.strategy][1] == "source":
+    instance_rule, annotator_rule = _RULES[config.strategy]
+    if annotator_rule == "source":
         profiles = [AnnotatorProfile(id=0,
                                      best_precision=1.0 / _SINGLE_SOURCE_SD**2)]
     else:
@@ -479,6 +511,7 @@ def _setup(config, data, rep_seed, k):
             seed=[rep_seed, _ANNOT],
         )
     m = len(profiles)
+    priors = (default_weight_prior(d), default_precision_priors(m))
     efforts = np.array([p.best_precision for p in profiles])
     answers = np.empty((m, pool_idx.size))
     for j, profile in enumerate(profiles):
@@ -489,33 +522,47 @@ def _setup(config, data, rep_seed, k):
 
     pool_phi, test_phi = pool_norm, test_norm
     if config.transform == "sigmoid":
-        centers = fit_centers(pool_norm, pool_norm.shape[1],
-                              [rep_seed, _KMEANS])
-        s = _choose_scale(config, rep_seed, pool_norm, centers, seed_answers)
+        centers = _sigmoid_centers(pool_norm, [rep_seed, _KMEANS])
+        s = _choose_scale(config, rep_seed, pool_norm, centers, seed_answers,
+                          priors)
         spec = TransformSpec(centers, s)
         pool_phi, test_phi = transform(pool_norm, spec), transform(test_norm, spec)
-    dataset, weights, precisions, _ = _fit_block(
-        pool_phi, answers, np.arange(seed_answers.shape[1]))
-    return (test_phi, test_z, weights, precisions, dataset, pool_idx, answers,
-            efforts)
+    seed_fit = _fit_block(pool_phi, answers, np.arange(seed_answers.shape[1]),
+                          priors)
+    return _Repetition(test_phi, test_z, pool_idx, answers, efforts,
+                       instance_rule, annotator_rule, priors, *seed_fit)
+
+
+def _sigmoid_centers(pool, seed):
+    """``fit_centers`` with one center per feature of ``pool``.  Too few
+    distinct pool rows fail naming the ``transform`` key; the distinct rows
+    are counted again only on that path, since ``fit_centers`` counts them
+    for its own check."""
+    d = pool.shape[1]
+    try:
+        return fit_centers(pool, d, seed)
+    except InvalidInputError:
+        distinct = np.unique(pool, axis=0).shape[0]
+        if distinct >= d:
+            raise
+    raise InvalidInputError(
+        f"config key 'transform': 'sigmoid' fits one k-means center per "
+        f"feature, but the pool has {distinct} distinct rows for its {d} "
+        f"features")
 
 
 def _run_repetition(config, data, rep):
     rep_seed = config.base_seed + rep
-    instance_rule, annotator_rule = _RULES[config.strategy]
-    (test_phi, test_z, weights, precisions, dataset, pool_idx, answers,
-     efforts) = _setup(config, data, rep_seed, config.seed_pool_size)
-    pool_phi = dataset.instances
-    m = len(efforts)
+    setup = _setup(config, data, rep_seed, config.seed_pool_size)
+    dataset, weights, precisions = setup.dataset, setup.weights, setup.precisions
+    pool_phi, m = dataset.instances, dataset.num_annotators
     seed_count = min(config.seed_pool_size, dataset.n)
-    weight_prior = default_weight_prior(dataset.d)
-    precision_priors = default_precision_priors(m)
-    ledger = bd.RegretLedger.from_precisions(efforts)
+    ledger = bd.RegretLedger.from_precisions(setup.efforts)
     scheme = config.scheme()
     strategy_rng = np.random.default_rng([rep_seed, _STRATEGY])
 
     state = None
-    if annotator_rule == "ucb":
+    if setup.annotator_rule == "ucb":
         horizon = max(seed_count * m + config.budget, 2)
         state = bd.BanditState(m, config.moment_bound(), horizon=horizon)
         # per-row dot products, as the round loop takes them: a matrix
@@ -523,32 +570,30 @@ def _run_repetition(config, data, rep):
         predictions = [weights.mean @ pool_phi[i] for i in range(seed_count)]
         bd.initialize_state(state, [
             [(y - p) ** 2 for y, p in zip(row, predictions)]
-            for row in answers[:, :seed_count]
+            for row in setup.answers[:, :seed_count]
         ])
 
     paid = seed_count * sum(settle(precisions, scheme).tolist())
     discarded = 0 if state is None else state.discarded
-    records = [RoundRecord(
-        rep, 0, -1, -1, 0.0, True,
-        rmse(test_phi @ weights.mean, test_z), 0.0, discarded, paid,
-    )]
+    records = [RoundRecord(rep, 0, -1, -1, 0.0, True, setup.test_rmse(weights),
+                           0.0, discarded, paid)]
 
     unlabeled = np.arange(seed_count, dataset.n)
     for t in range(1, min(config.budget, unlabeled.size) + 1):
         # instance first, then annotator: both may draw from strategy_rng
-        if instance_rule == "uniform":
+        if setup.instance_rule == "uniform":
             pos = int(unlabeled[strategy_rng.integers(unlabeled.size)])
         else:
             pos = select_instance(unlabeled, pool_phi, weights)
-        if annotator_rule == "ucb":
+        if state is not None:
             j = bd.select_annotator(state)
         else:  # over the one-source population this is 0 and draws nothing
             j = int(strategy_rng.integers(m))
 
-        y = float(answers[j, pos])
+        y = float(setup.answers[j, pos])
         dataset = dataset.with_label(pos, j, y)
         weights, precisions, _ = fit_variational(
-            dataset, weight_prior, precision_priors, max_sweeps=_ROUND_SWEEPS,
+            dataset, *setup.priors, max_sweeps=_ROUND_SWEEPS,
             warm_start=(weights, precisions),
         )
         accepted = True
@@ -561,9 +606,8 @@ def _run_repetition(config, data, rep):
         unlabeled = unlabeled[unlabeled != pos]
 
         records.append(RoundRecord(
-            rep, t, int(pool_idx[pos]), j, y, accepted,
-            rmse(test_phi @ weights.mean, test_z), bd.regret_seq(ledger),
-            discarded, paid,
+            rep, t, int(setup.pool_idx[pos]), j, y, accepted,
+            setup.test_rmse(weights), bd.regret_seq(ledger), discarded, paid,
         ))
     return records
 
@@ -572,6 +616,10 @@ def _load_data(config):
     if config.data_path is None:
         return synthetic_housing_like()
     matrix = load_csv(config.data_path)
+    if matrix.shape[0] < 2:
+        raise DataFormatError(
+            f"{config.data_path}: {matrix.shape[0]} data row; the train/test "
+            f"split needs at least 2 rows")
     return matrix[:, :-1], matrix[:, -1]
 
 
@@ -599,7 +647,6 @@ def full_fit(config: ExperimentConfig):
     data = _load_data(config)
     scores = []
     for rep in range(config.repetitions):
-        test_phi, test_z, weights, *_ = _setup(config, data,
-                                               config.base_seed + rep, None)
-        scores.append(rmse(test_phi @ weights.mean, test_z))
+        setup = _setup(config, data, config.base_seed + rep, None)
+        scores.append(setup.test_rmse(setup.weights))
     return scores

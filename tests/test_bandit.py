@@ -17,7 +17,6 @@ from crowdreg import (
     regret_seq,
     select_annotator,
     truncated_mean,
-    truncation_threshold,
 )
 
 
@@ -31,23 +30,19 @@ class TestTruncationThreshold:
     def test_unit_factors(self):
         # log(1/delta) = 2 log 7, so u = 2 log 7 makes every factor one
         state = played_state(u=2 * math.log(7), horizon=7, t=1)
-        assert truncation_threshold(state) == pytest.approx(1.0)
+        assert bandit._cutoff(state, state.t) == pytest.approx(1.0)
 
     def test_scalar_hand_value(self):
         state = played_state(u=8 * math.log(3), horizon=3, t=9)
-        assert truncation_threshold(state) == pytest.approx(6.0)
+        assert bandit._cutoff(state, state.t) == pytest.approx(6.0)
 
     def test_nondecreasing_under_fixed_horizon(self):
         state = BanditState(2, 2.0, horizon=100)
         values = []
         for t in range(1, 50):
             state.t = t
-            values.append(truncation_threshold(state))
+            values.append(bandit._cutoff(state, state.t))
         assert np.all(np.diff(values) > 0)
-
-    def test_requires_at_least_one_round(self):
-        with pytest.raises(InvalidInputError):
-            truncation_threshold(BanditState(2, 1.0, horizon=10))
 
     @pytest.mark.parametrize("horizon", [None, 1, 0, 10.0, 2.5])
     def test_horizon_must_be_an_integer_at_least_two(self, horizon):
@@ -222,7 +217,7 @@ class TestRecordOutcome:
             j = select_annotator(state)
             residual_sq = float(rng.exponential(2.0))
             accepted = record_outcome(state, j, residual_sq)
-            assert accepted is (residual_sq <= truncation_threshold(state))
+            assert accepted is (residual_sq <= bandit._cutoff(state, state.t))
 
     def test_validates_input(self):
         state = BanditState(1, 1.0, horizon=10)
@@ -316,7 +311,7 @@ class TestDiscardedCount:
         # each arm's full reward list at the current cutoff
         def assert_matches_reference(j):
             mean, kept = truncated_mean([-r for r in rewards[j]],
-                                        truncation_threshold(state))
+                                        bandit._cutoff(state, state.t))
             assert state.accepted_counts[j] == kept
             assert state.truncated_means[j] == pytest.approx(mean, rel=1e-12)
 
@@ -433,7 +428,7 @@ def test_bandit_state_rejects_a_moment_bound_whose_cutoff_overflows():
                        match=r"^u=1e\+305 .*horizon=10000.*cutoff"):
         BanditState(2, 1e305, horizon=10000)
     # u * 100 is finite
-    assert truncation_threshold(played_state(2, 1e306, 100, t=100)) < math.inf
+    assert bandit._cutoff(BanditState(2, 1e306, horizon=100), 100) < math.inf
 
 
 def test_a_round_whose_cutoff_overflows_fails_and_changes_nothing():

@@ -390,13 +390,15 @@ class TestRunExperiment:
 
     def test_single_source_scale_search_fits_one_precision(self, monkeypatch):
         # the lone source is the whole population, also while the sigmoid
-        # scale is chosen from a grid: every fit carries one precision factor
-        seen, keywords = [], []
+        # scale is chosen from a grid: every fit carries one precision factor,
+        # and every fit of the repetition runs under the same prior objects
+        seen, keywords, priors = [], [], []
         fit = harness.fit_variational
 
         def spy(dataset, weight_prior, precision_priors, **kwargs):
             seen.append((dataset.num_annotators, precision_priors.shape.size))
             keywords.append(kwargs)
+            priors.append((weight_prior, precision_priors))
             return fit(dataset, weight_prior, precision_priors, **kwargs)
 
         monkeypatch.setattr(harness, "fit_variational", spy)
@@ -405,6 +407,9 @@ class TestRunExperiment:
                                     budget=2, repetitions=1))
         assert len(seen) == 3 + 1 + 2  # grid, seed fit, one per round
         assert set(seen) == {(1, 1)}
+        weight_prior, precision_priors = priors[0]
+        for w, p in priors:
+            assert w is weight_prior and p is precision_priors
         # grid and seed fits run at the fit's defaults; each refit is capped
         # at 50 sweeps and warm-started
         assert keywords[:4] == [{}] * 4
@@ -592,11 +597,11 @@ def test_every_label_is_the_full_pool_answer(base_seed, strategy):
         config = replace(config, strategy="robust_ucb")
     for rep in range(config.repetitions):
         rep_seed = base_seed + rep
-        _, _, _, _, _, pool_idx, answers, _ = harness._setup(
-            config, data, rep_seed, None)
-        position = {int(row): pos for pos, row in enumerate(pool_idx)}
+        full = harness._setup(config, data, rep_seed, None)
+        answers = full.answers
+        position = {int(row): pos for pos, row in enumerate(full.pool_idx)}
         seed_dataset = harness._setup(config, data, rep_seed,
-                                      config.seed_pool_size)[4]
+                                      config.seed_pool_size).dataset
         m, k = answers.shape[0], config.seed_pool_size
         assert np.array_equal(seed_dataset.rows, np.tile(np.arange(k), m))
         assert np.array_equal(seed_dataset.annotators,
@@ -678,6 +683,18 @@ class TestCli:
         assert "interval_good" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    def test_one_row_data_file_fails_naming_it(self, tmp_path, command):
+        # the split needs a pool row and a test row
+        path = tmp_path / "one_row.csv"
+        path.write_text("x,y\n1.5,2.0\n")
+        proc = self.run_cli(command, "--data", str(path), "--reps", "1")
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"{path}: 1 data row;" in lines[0]
+        assert "split needs at least 2 rows" in lines[0]
+
     def test_config_file_with_overrides(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"budget": 3, "repetitions": 1,
@@ -690,6 +707,22 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # baseline + 2 rounds
         assert json.loads(lines[-1])["round"] == 2
+
+
+@pytest.mark.parametrize("entry", [run_experiment, full_fit])
+def test_sigmoid_pool_with_too_few_distinct_rows_fails_naming_the_key(
+        tmp_path, entry):
+    # k-means fits one center per feature: 3 features, but every row is one
+    # of 2 points
+    X = np.tile([[1.0, 2.0, 3.0], [4.0, 6.0, 5.0]], (10, 1))
+    path = tmp_path / "two_points.csv"
+    write_csv(path, X, X.sum(axis=1))
+    config = small_config(data_path=str(path), transform="sigmoid",
+                          repetitions=1)
+    with pytest.raises(InvalidInputError,
+                       match=r"^config key 'transform': .* the pool has 2 "
+                             r"distinct rows for its 3 features$"):
+        entry(config)
 
 
 def test_a_moment_bound_that_overflows_the_ucb_width_fails_the_run():
