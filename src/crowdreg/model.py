@@ -91,9 +91,12 @@ def _checked_labels(rows, annotators, values, n, m):
     bad = ((rows < 0) | (rows >= n) | (annotators < 0) | (annotators >= m)
            | ~np.isfinite(values))
     if not bad.any():  # flag each repeat of an earlier (row, annotator) pair
-        order = np.lexsort((annotators, rows))  # stable within a pair
-        r, a = rows[order], annotators[order]
-        bad[order[1:][(r[1:] == r[:-1]) & (a[1:] == a[:-1])]] = True
+        # one int64 key per pair, exact because __post_init__ bounds m * n;
+        # the stable sort keeps a pair's labels in their given order
+        key = annotators.astype(np.int64) * n + rows.astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        bad[order[1:][key[1:] == key[:-1]]] = True
     if bad.any():
         k = int(bad.argmax())
         raise _label_error(k, rows[k], annotators[k], values[k], n, m)
@@ -118,10 +121,14 @@ class CrowdDataset:
     at most once.  The vectors are read-only copies in the given order,
     validated once on construction: integer indices (a float or bool index
     is rejected, not truncated), in range, finite values, no repeated
-    ``(row, annotator)`` pair.  An error names the position and the ``(row,
-    annotator, value)`` of the first bad label.  :meth:`with_label` checks
-    only the new label and adds it to a copy of the per-annotator
-    sufficient statistics.
+    ``(row, annotator)`` pair, found by one stable sort of the int64 keys
+    ``annotator * n + row``.  An error names the position and the ``(row,
+    annotator, value)`` of the first bad label.  ``num_annotators`` may not
+    exceed the largest intp over ``max(n, 8 d^2)``, so that the keys and the
+    m x d^2 statistics can be indexed.  The statistics are built on first
+    use with one Gram per run of annotators that label the same rows in the
+    same order.  :meth:`with_label` checks only the new label and adds it to
+    a copy of the per-annotator sufficient statistics.
     """
 
     instances: np.ndarray
@@ -134,11 +141,15 @@ class CrowdDataset:
         inst = _finite_array(self.instances, "instances", 2)
         if inst.shape[1] < 1:
             raise InvalidInputError("instances need at least one feature")
+        # the m x d^2 float statistics and the m * n (row, annotator) keys
+        # of _checked_labels must stay within intp
+        n, d = inst.shape
         object.__setattr__(self, "num_annotators", _integer(
-            self.num_annotators, "num_annotators", 1))
+            self.num_annotators, "num_annotators", 1,
+            np.iinfo(np.intp).max // max(n, 8 * d * d)))
         object.__setattr__(self, "instances", _frozen_array(inst))
         for name, v in zip(("rows", "annotators", "values"), _checked_labels(
-                self.rows, self.annotators, self.values, inst.shape[0],
+                self.rows, self.annotators, self.values, n,
                 self.num_annotators)):
             object.__setattr__(self, name, v)
 
@@ -163,19 +174,34 @@ class CrowdDataset:
 
     @cached_property
     def _suffstats(self):
-        """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked;
-        a stable sort groups the labels, so each annotator's rows keep their
-        given order."""
+        """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked.
+
+        A stable sort groups the labels, so each annotator's rows keep their
+        given order.  An annotator whose rows equal, in order, those of the
+        last annotator with labels (as in a block where everyone labels the
+        same rows) reuses that annotator's gathered rows and Gram.  The bits
+        are those of :func:`_accumulate` from zero.
+        """
         m, d = self.num_annotators, self.d
-        stats = (np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m),
-                 np.zeros(m, dtype=int))
+        gram, xty, ysq = np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m)
         order = np.argsort(self.annotators, kind="stable")
         counts = np.bincount(self.annotators, minlength=m)
-        for j, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
-            if idx.size:
-                _accumulate(stats, j, self.instances[self.rows[idx]],
-                            self.values[idx])
-        return stats
+        rows, values = self.rows[order], self.values[order]
+        start, last = 0, rows[:0]
+        for j, stop in enumerate(np.cumsum(counts).tolist()):
+            if stop > start:
+                # ys is a copy, not a view: a view may start 8 bytes off a
+                # 16-byte boundary, and some BLAS kernels (OpenBLAS's
+                # Prescott ddot) then sum in another order than on a new array
+                r, ys = rows[start:stop], values[start:stop].copy()
+                if not np.array_equal(r, last):
+                    x, last = self.instances[r], r
+                    xtx = (x.T @ x).ravel()
+                gram[j], xty[j], ysq[j] = xtx, x.T @ ys, ys @ ys
+                start = stop
+        for a in (gram, xty, ysq):  # 0.0 + v, as _accumulate: -0.0 reads +0.0
+            a += 0.0
+        return gram, xty, ysq, counts
 
     def with_label(self, i: int, j: int, y: float) -> "CrowdDataset":
         """A new dataset with one extra label; the original is untouched.

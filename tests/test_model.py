@@ -65,6 +65,21 @@ class TestCrowdDataset:
         with pytest.raises(InvalidInputError, match="^num_annotators"):
             CrowdDataset(np.ones((2, 2)), [0], [0], [1.0], m)
 
+    def test_rejects_an_annotator_count_too_large_to_index(self):
+        m = 2**62  # 32 * m bytes of Gram statistics and 3 * m pair keys
+        with pytest.raises(InvalidInputError, match="^num_annotators"):
+            CrowdDataset(np.ones((3, 2)), [0, 1], [0, m - 1], [1.0, 2.0], m)
+
+    def test_the_largest_annotator_count_keeps_every_pair_apart(self):
+        # with n = 10 > 8 d^2 the pair keys set the limit; the statistics
+        # are never built
+        X, m = np.ones((10, 1)), np.iinfo(np.intp).max // 10
+        CrowdDataset(X, [9, 9, 0], [m - 1, m - 2, m - 1], [1.0] * 3, m)
+        with pytest.raises(InvalidInputError, match="^label 2 "):
+            CrowdDataset(X, [9, 0, 9], [m - 1] * 3, [1.0] * 3, m)
+        with pytest.raises(InvalidInputError, match="^num_annotators"):
+            CrowdDataset(X, [0], [0], [1.0], m + 1)
+
     def test_takes_a_numpy_integer_annotator_count(self):
         ds = CrowdDataset(np.ones((2, 2)), [0], [0], [1.0], np.int64(2))
         assert ds.num_annotators == 2 and type(ds.num_annotators) is int

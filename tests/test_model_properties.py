@@ -1,5 +1,6 @@
-"""Property tests for the incremental dataset, the variational sweep, its
-LAPACK Cholesky path, the evidence lower bound and the accelerated fit."""
+"""Property tests for the dataset (its statistics, its repeat check and its
+growth by one label), the variational sweep, its LAPACK Cholesky path, the
+evidence lower bound and the accelerated fit."""
 
 from unittest import mock
 
@@ -205,6 +206,95 @@ def test_with_label_rejects_bad_labels_and_keeps_original(problem, kind,
             == triples(*labels))
     for old, new in zip(before, ds._suffstats):
         assert np.array_equal(old, new)
+
+
+@st.composite
+def statistics_problems(draw):
+    """Features, annotator count and label vectors for the statistics build.
+
+    Each annotator labels no row, a fresh set of rows, the previous labeling
+    annotator's rows in the same order (the block that the harness builds)
+    or those rows reversed.  The labels come annotator by annotator or
+    interleaved, each annotator's rows keeping their order.  Columns 0 and 1
+    may be zero and negative, so that their Gram entry sums products of
+    -0.0, which a BLAS kernel may return as -0.0.
+    """
+    d, n, m = (draw(st.integers(1, 5)), draw(st.integers(1, 10)),
+               draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    if d > 1 and draw(st.booleans()):
+        X[:, 0], X[:, 1] = 0.0, -np.abs(X[:, 1])
+    row_sets, previous = [], []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["none", "fresh", "previous", "reversed"]))
+        if kind == "fresh":
+            rows = draw(st.lists(st.integers(0, n - 1), unique=True,
+                                 max_size=n))
+        else:
+            rows = {"none": [], "previous": previous,
+                    "reversed": previous[::-1]}[kind]
+        row_sets.append(rows)
+        previous = rows or previous
+    rows = np.array([i for s in row_sets for i in s], dtype=int)
+    annotators = np.repeat(np.arange(m), [len(s) for s in row_sets])
+    if draw(st.booleans()):
+        # a random interleaving: annotator j's k-th label takes the k-th
+        # of j's slots in a shuffled sequence of annotator ids
+        annotators = rng.permutation(annotators)
+        grouped = rows
+        rows = np.empty_like(grouped)
+        rows[np.argsort(annotators, kind="stable")] = grouped
+    return X, m, (rows, annotators, rng.normal(scale=3.0, size=rows.size))
+
+
+def accumulated_statistics(X, m, rows, annotators, values):
+    """The statistics as :func:`model._accumulate` adds them up from zero,
+    one annotator at a time, in label order."""
+    d = X.shape[1]
+    stats = (np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m),
+             np.zeros(m, dtype=np.intp))
+    for j in range(m):
+        idx = np.flatnonzero(annotators == j)
+        if idx.size:
+            model._accumulate(stats, j, X[rows[idx]], values[idx])
+    return stats
+
+
+@PROPERTY
+@given(statistics_problems())
+def test_statistics_equal_per_annotator_accumulation_to_the_bit(problem):
+    X, m, labels = problem
+    got = CrowdDataset(X, *labels, m)._suffstats
+    want = accumulated_statistics(X, m, *labels)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(labeled_problems(), st.data(),
+       st.sampled_from([np.int64, np.uint64, np.int32, np.uint8]),
+       st.sampled_from([np.int64, np.uint64]))
+def test_the_first_repeat_named_is_the_lexsort_one(problem, data, row_type,
+                                                   annotator_type):
+    X, m, (rows, annotators, _), rng = problem
+    assume(rows.size)
+    copies = data.draw(st.lists(st.integers(0, rows.size - 1), min_size=1,
+                                max_size=5))
+    order = rng.permutation(rows.size + len(copies))
+    rows, annotators = (np.concatenate([v, v[copies]])[order].astype(t)
+                        for v, t in ((rows, row_type),
+                                     (annotators, annotator_type)))
+    values = rng.normal(size=rows.size)
+    # the reference: sort by (row, annotator), stably, and take the
+    # earliest label that sits behind an equal pair
+    by_pair = np.lexsort((annotators, rows))
+    r, a = rows[by_pair], annotators[by_pair]
+    k = by_pair[1:][(r[1:] == r[:-1]) & (a[1:] == a[:-1])].min()
+    with pytest.raises(InvalidInputError,
+                       match=f"^label {k} \\(row {rows[k]}, annotator "
+                             f"{annotators[k]}, value "):
+        CrowdDataset(X, rows, annotators, values, m)
 
 
 @st.composite
