@@ -403,13 +403,11 @@ def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12):
 
 def _fit_block(instances, answers, columns, priors):
     """``(dataset, weights, precisions)``: every annotator's answers on the
-    pool rows ``columns`` as a dataset over ``instances``, in row order within
-    each annotator, and its fit under ``priors``, a (weight prior, precision
+    pool rows ``columns``, passed as the block form of a dataset over
+    ``instances``, and its fit under ``priors``, a (weight prior, precision
     priors) pair, at the fit's defaults."""
-    m = answers.shape[0]
-    dataset = CrowdDataset(instances, np.tile(columns, m),
-                           np.repeat(np.arange(m), len(columns)),
-                           answers[:, columns].ravel(), m)
+    dataset = CrowdDataset(instances, columns, None, answers[:, columns],
+                           answers.shape[0])
     return dataset, *fit_variational(dataset, *priors)[:2]
 
 
@@ -484,9 +482,8 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
     annotator, pool row), whichever strategy asks for it and in whatever
     order.
 
-    The seed dataset is the block ``answers[:, :k]`` as label vectors:
-    ``rows = tile(arange(k), m)``, ``annotators = repeat(arange(m), k)`` and
-    ``values = answers[:, :k].ravel()``.  The answers come first: a
+    The seed dataset is the block form of ``CrowdDataset`` with the columns
+    ``arange(k)`` and the block ``answers[:, :k]``.  The answers come first: a
     grid-searched sigmoid scale needs them.  The priors are built once, at
     the pool's width, which the sigmoid transform keeps (k-means fits one
     center per feature).

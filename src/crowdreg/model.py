@@ -111,6 +111,65 @@ def _label_error(k, row, annotator, value, n, m) -> InvalidInputError:
         f"and a (row, annotator) pair not labeled before")
 
 
+def _block_labels(columns, block):
+    """The block form's labels as the flat form's three vectors: for a (b, k)
+    ``block``, ``tile(columns, b)``, ``repeat(arange(b), k)`` and
+    ``block.ravel()``."""
+    if block.ndim != 2:
+        raise InvalidInputError(
+            f"values: a block of answers needs the shape (annotators, "
+            f"columns), got {block.shape}")
+    b, k = block.shape
+    return np.tile(columns, b), np.repeat(np.arange(b), k), block.ravel()
+
+
+def _is_valid_block(columns, block, n, m) -> bool:
+    """Whether a (b, k) ``block`` on ``columns`` passes, checked as a whole,
+    what :func:`_checked_labels` checks label by label: 1 <= b <= m, k >= 1
+    distinct integer columns in [0, n), and finite numbers.  False says only
+    that the labels need the label-by-label check."""
+    if block.ndim != 2 or columns.ndim != 1:
+        return False
+    b, k = block.shape
+    if not (0 < b <= m and 0 < k == columns.size
+            and columns.dtype.kind in "iu" and block.dtype.kind in "iuf"):
+        return False
+    s = np.sort(columns)
+    return bool(0 <= int(s[0]) and int(s[-1]) < n and _all(s[1:] != s[:-1])
+                and _all(np.isfinite(block), axis=None))
+
+
+def _block_dataset(instances, columns, block, m):
+    """The label vectors and the statistics of a valid block.
+
+    The vectors are :func:`_block_labels`, each a view of a new read-only
+    (b, k) array.  The statistics are :attr:`CrowdDataset._suffstats`'s
+    bits from one row gather and one Gram for all of the block's
+    annotators.  Each annotator's answers are a copy, not a view of the
+    values: a view may start 8 bytes off a 16-byte boundary, and some BLAS
+    kernels (OpenBLAS's Prescott ``ddot``) then sum in another order than
+    on a new array.
+    """
+    (b, k), d = block.shape, instances.shape[1]
+    labels = []
+    for v, t in ((columns, np.intp), (np.arange(b)[:, None], np.intp),
+                 (block, float)):
+        v = np.broadcast_to(v, (b, k)).astype(t, order="C")
+        v.setflags(write=False)
+        labels.append(v.reshape(-1))
+    gram, xty, ysq = np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m)
+    counts = np.zeros(m, np.intp)
+    x = instances[columns]
+    xt = x.T
+    gram[:b], counts[:b] = (xt @ x).ravel(), k
+    for j, ys in enumerate(labels[2].reshape(b, k)):
+        ys = ys.copy()
+        xty[j], ysq[j] = xt @ ys, ys @ ys
+    for a in (gram, xty, ysq):  # 0.0 + v, as _accumulate: -0.0 reads +0.0
+        a += 0.0
+    return labels, (gram, xty, ysq, counts)
+
+
 @dataclass(frozen=True, eq=False)
 class CrowdDataset:
     """Feature matrix plus the crowd's labels as three equally long vectors.
@@ -125,15 +184,28 @@ class CrowdDataset:
     ``annotator * n + row``.  An error names the position and the ``(row,
     annotator, value)`` of the first bad label.  ``num_annotators`` may not
     exceed the largest intp over ``max(n, 8 d^2)``, so that the keys and the
-    m x d^2 statistics can be indexed.  The statistics are built on first
-    use with one Gram per run of annotators that label the same rows in the
-    same order.  :meth:`with_label` checks only the new label and adds it to
-    a copy of the per-annotator sufficient statistics.
+    m x d^2 statistics can be indexed.
+
+    Block form: ``CrowdDataset(instances, columns, None, block,
+    num_annotators)``, where ``block[j, c]`` is annotator ``j``'s answer on
+    row ``columns[c]``.  It holds the labels ``rows = tile(columns, b)``,
+    ``annotators = repeat(arange(b), k)`` and ``values = block.ravel()`` of
+    a (b, k) block, and its vectors read so.  It is checked as a whole:
+    between 1 and ``num_annotators`` annotators, at least one column, the
+    columns distinct integers in ``[0, n)`` and the answers finite.  A block
+    that fails is checked label by label, so the error is the one that the
+    flat form gives for the same labels; a block that is not 2-D fails on
+    its own.
+
+    A valid block builds the per-annotator sufficient statistics in the
+    constructor, from one row gather and one Gram.  The flat form builds
+    them annotator by annotator on first use.  :meth:`with_label` checks
+    only the new label and adds it to a copy of the statistics.
     """
 
     instances: np.ndarray
     rows: np.ndarray
-    annotators: np.ndarray
+    annotators: np.ndarray | None
     values: np.ndarray
     num_annotators: int
 
@@ -144,14 +216,21 @@ class CrowdDataset:
         # the m x d^2 float statistics and the m * n (row, annotator) keys
         # of _checked_labels must stay within intp
         n, d = inst.shape
-        object.__setattr__(self, "num_annotators", _integer(
-            self.num_annotators, "num_annotators", 1,
-            np.iinfo(np.intp).max // max(n, 8 * d * d)))
-        object.__setattr__(self, "instances", _frozen_array(inst))
-        for name, v in zip(("rows", "annotators", "values"), _checked_labels(
-                self.rows, self.annotators, self.values, n,
-                self.num_annotators)):
-            object.__setattr__(self, name, v)
+        m = _integer(self.num_annotators, "num_annotators", 1,
+                     np.iinfo(np.intp).max // max(n, 8 * d * d))
+        inst = _frozen_array(inst)
+        labels = self.rows, self.annotators, self.values
+        if self.annotators is None:
+            columns, block = np.asarray(self.rows), np.asarray(self.values)
+            if _is_valid_block(columns, block, n, m):
+                labels, self.__dict__["_suffstats"] = _block_dataset(
+                    inst, columns, block, m)
+            else:
+                labels = _block_labels(columns, block)
+        if "_suffstats" not in self.__dict__:  # not a valid block
+            labels = _checked_labels(*labels, n, m)
+        self.__dict__.update(zip(("instances", "rows", "annotators", "values",
+                                  "num_annotators"), (inst, *labels, m)))
 
     @property
     def n(self) -> int:
@@ -174,34 +253,24 @@ class CrowdDataset:
 
     @cached_property
     def _suffstats(self):
-        """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked.
-
-        A stable sort groups the labels, so each annotator's rows keep their
-        given order.  An annotator whose rows equal, in order, those of the
-        last annotator with labels (as in a block where everyone labels the
-        same rows) reuses that annotator's gathered rows and Gram.  The bits
-        are those of :func:`_accumulate` from zero.
-        """
+        """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked:
+        :func:`_accumulate` from zero on each annotator's labels, which one
+        stable sort groups in their given order.  Built here, on first use,
+        only for the flat form: the m x d^2 arrays need not fit in memory
+        for a dataset to be checked."""
         m, d = self.num_annotators, self.d
-        gram, xty, ysq = np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m)
+        stats = (np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m),
+                 np.zeros(m, np.intp))
         order = np.argsort(self.annotators, kind="stable")
         counts = np.bincount(self.annotators, minlength=m)
-        rows, values = self.rows[order], self.values[order]
-        start, last = 0, rows[:0]
+        start = 0
         for j, stop in enumerate(np.cumsum(counts).tolist()):
             if stop > start:
-                # ys is a copy, not a view: a view may start 8 bytes off a
-                # 16-byte boundary, and some BLAS kernels (OpenBLAS's
-                # Prescott ddot) then sum in another order than on a new array
-                r, ys = rows[start:stop], values[start:stop].copy()
-                if not np.array_equal(r, last):
-                    x, last = self.instances[r], r
-                    xtx = (x.T @ x).ravel()
-                gram[j], xty[j], ysq[j] = xtx, x.T @ ys, ys @ ys
+                idx = order[start:stop]
+                _accumulate(stats, j, self.instances[self.rows[idx]],
+                            self.values[idx])
                 start = stop
-        for a in (gram, xty, ysq):  # 0.0 + v, as _accumulate: -0.0 reads +0.0
-            a += 0.0
-        return gram, xty, ysq, counts
+        return stats
 
     def with_label(self, i: int, j: int, y: float) -> "CrowdDataset":
         """A new dataset with one extra label; the original is untouched.

@@ -26,7 +26,7 @@ from crowdreg import (
     run_experiment,
     summarize,
 )
-from crowdreg import bandit, harness
+from crowdreg import bandit, harness, model
 from crowdreg.harness import RoundRecord
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -417,6 +417,33 @@ class TestRunExperiment:
             assert set(kwargs) == {"max_sweeps", "warm_start"}
             assert kwargs["max_sweeps"] == 50
             assert kwargs["warm_start"] is not None
+
+    def test_every_bulk_build_is_a_block_checked_as_a_whole(self,
+                                                            monkeypatch):
+        # full_fit, the seed fit and the scale search pass their answers as
+        # blocks: none reaches the label-by-label check, and each dataset
+        # holds its statistics when its constructor returns
+        checked, built = [], []
+        check, construct = model._checked_labels, harness.CrowdDataset
+
+        def spy_check(*args):
+            checked.append(args)
+            return check(*args)
+
+        def spy_build(*args):
+            ds = construct(*args)
+            built.append("_suffstats" in vars(ds))
+            return ds
+
+        monkeypatch.setattr(model, "_checked_labels", spy_check)
+        monkeypatch.setattr(harness, "CrowdDataset", spy_build)
+        full_fit(ExperimentConfig(repetitions=1))
+        full_fit(ExperimentConfig(repetitions=1, transform="sigmoid",
+                                  s_grid=(0.5, 1.0, 2.0), num_annotators=8,
+                                  num_good=6))
+        run_experiment(small_config(budget=2, repetitions=1))
+        assert built == [True] * (1 + 3 + 1 + 1)  # fit, grid and fit, seed
+        assert checked == []
 
     def test_single_source_has_zero_regret(self):
         records = run_experiment(small_config(strategy="single_source"))

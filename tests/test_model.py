@@ -80,6 +80,32 @@ class TestCrowdDataset:
         with pytest.raises(InvalidInputError, match="^num_annotators"):
             CrowdDataset(X, [0], [0], [1.0], m + 1)
 
+    def test_block_form_holds_the_block_as_label_vectors(self):
+        # block[j, c] is annotator j's answer on row columns[c]; a block may
+        # have fewer rows than there are annotators
+        X = np.arange(8.0).reshape(4, 2)
+        ds = CrowdDataset(X, [3, 0], None, [[1.0, 2.0], [3.0, 4.0]], 3)
+        assert ds.rows.tolist() == [3, 0, 3, 0]
+        assert ds.annotators.tolist() == [0, 0, 1, 1]
+        assert ds.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert ds.label_counts.tolist() == [2, 2, 0]
+
+    @pytest.mark.parametrize("block", [[1.0, 2.0], [[[1.0, 2.0]]], 1.0])
+    def test_block_form_needs_a_two_dimensional_block(self, block):
+        with pytest.raises(InvalidInputError, match="^values: a block"):
+            CrowdDataset(np.ones((2, 2)), [0, 1], None, block, 1)
+
+    def test_statistics_exist_once_a_block_or_a_child_is_built(self):
+        # the block form builds its statistics in the constructor, and
+        # with_label carries a copy to the child whichever form its parent
+        # took
+        X = np.ones((3, 2))
+        block = CrowdDataset(X, [0, 1], None, np.ones((2, 2)), 2)
+        flat = CrowdDataset(X, [0, 1], [0, 0], [1.0, 1.0], 2)
+        assert "_suffstats" in vars(block)
+        for ds in (block, flat):
+            assert "_suffstats" in vars(ds.with_label(2, 1, 1.0))
+
     def test_takes_a_numpy_integer_annotator_count(self):
         ds = CrowdDataset(np.ones((2, 2)), [0], [0], [1.0], np.int64(2))
         assert ds.num_annotators == 2 and type(ds.num_annotators) is int

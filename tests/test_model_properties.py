@@ -1,6 +1,6 @@
-"""Property tests for the dataset (its statistics, its repeat check and its
-growth by one label), the variational sweep, its LAPACK Cholesky path, the
-evidence lower bound and the accelerated fit."""
+"""Property tests for the dataset (its statistics, its block form, its
+repeat check and its growth by one label), the variational sweep, its LAPACK
+Cholesky path, the evidence lower bound and the accelerated fit."""
 
 from unittest import mock
 
@@ -208,23 +208,31 @@ def test_with_label_rejects_bad_labels_and_keeps_original(problem, kind,
         assert np.array_equal(old, new)
 
 
-@st.composite
-def statistics_problems(draw):
-    """Features, annotator count and label vectors for the statistics build.
-
-    Each annotator labels no row, a fresh set of rows, the previous labeling
-    annotator's rows in the same order (the block that the harness builds)
-    or those rows reversed.  The labels come annotator by annotator or
-    interleaved, each annotator's rows keeping their order.  Columns 0 and 1
-    may be zero and negative, so that their Gram entry sums products of
-    -0.0, which a BLAS kernel may return as -0.0.
-    """
+def statistics_features(draw):
+    """Features and annotator count.  Columns 0 and 1 may be zero and
+    negative, so that their Gram entry sums products of -0.0, which a BLAS
+    kernel may return as -0.0."""
     d, n, m = (draw(st.integers(1, 5)), draw(st.integers(1, 10)),
                draw(st.integers(1, 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.normal(size=(n, d))
     if d > 1 and draw(st.booleans()):
         X[:, 0], X[:, 1] = 0.0, -np.abs(X[:, 1])
+    return X, m, rng
+
+
+@st.composite
+def statistics_problems(draw):
+    """Features, annotator count, label vectors for the statistics build and
+    no block (see :func:`block_problems`).
+
+    Each annotator labels no row, a fresh set of rows, the previous labeling
+    annotator's rows in the same order or those rows reversed.  The labels
+    come annotator by annotator or interleaved, each annotator's rows
+    keeping their order.
+    """
+    X, m, rng = statistics_features(draw)
+    n = X.shape[0]
     row_sets, previous = [], []
     for _ in range(m):
         kind = draw(st.sampled_from(["none", "fresh", "previous", "reversed"]))
@@ -245,13 +253,38 @@ def statistics_problems(draw):
         grouped = rows
         rows = np.empty_like(grouped)
         rows[np.argsort(annotators, kind="stable")] = grouped
-    return X, m, (rows, annotators, rng.normal(scale=3.0, size=rows.size))
+    return X, m, (rows, annotators, rng.normal(scale=3.0, size=rows.size)), None
+
+
+@st.composite
+def block_problems(draw, min_size=0):
+    """Features, annotator count, the labels of a block as the flat form's
+    vectors, and the block form's ``(columns, block)``.
+
+    The k columns are distinct rows in a random order, of one of four
+    integer types.  The (b, k) block holds floats or integers for b <= m
+    annotators; b and k are at least ``min_size``.  An odd k puts every
+    other annotator's answers 8 bytes off the alignment of the block.
+    """
+    X, m, rng = statistics_features(draw)
+    n = X.shape[0]
+    columns = rng.permutation(n)[:draw(st.integers(min(min_size, n), n))]
+    columns = columns.astype(draw(st.sampled_from(
+        [np.intp, np.int32, np.uint8, np.uint64])))
+    block = rng.normal(scale=3.0, size=(draw(st.integers(min_size, m)),
+                                        columns.size))
+    if draw(st.booleans()):
+        block = np.round(block).astype(np.int64)
+    b, k = block.shape
+    labels = np.tile(columns, b), np.repeat(np.arange(b), k), block.ravel()
+    return X, m, labels, (columns, block)
 
 
 def accumulated_statistics(X, m, rows, annotators, values):
     """The statistics as :func:`model._accumulate` adds them up from zero,
     one annotator at a time, in label order."""
     d = X.shape[1]
+    values = np.asarray(values, dtype=float)
     stats = (np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m),
              np.zeros(m, dtype=np.intp))
     for j in range(m):
@@ -262,13 +295,65 @@ def accumulated_statistics(X, m, rows, annotators, values):
 
 
 @PROPERTY
-@given(statistics_problems())
+@given(st.one_of(statistics_problems(), block_problems()))
 def test_statistics_equal_per_annotator_accumulation_to_the_bit(problem):
-    X, m, labels = problem
-    got = CrowdDataset(X, *labels, m)._suffstats
+    # the flat form from its labels, and the block form from its block: the
+    # same read-only vectors as the flat form and the reference's statistics
+    X, m, labels, block = problem
     want = accumulated_statistics(X, m, *labels)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    flat = CrowdDataset(X, *labels, m)
+    built = [flat]
+    if block is not None:
+        built.append(CrowdDataset(X, block[0], None, block[1], m))
+    for ds in built:
+        for name in ("rows", "annotators", "values"):
+            got, ref = getattr(ds, name), getattr(flat, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert not got.flags.writeable
+        for a, b in zip(ds._suffstats, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BLOCK_FAULTS = ["column past the end", "negative column", "repeated column",
+                "non-finite answer", "float columns", "bool columns",
+                "an annotator too many", "a column too few",
+                "a column too many"]
+
+
+@PROPERTY
+@given(block_problems(min_size=1), st.sampled_from(BLOCK_FAULTS), st.data())
+def test_a_bad_block_fails_as_its_labels_do_flat(problem, fault, data):
+    X, m, _, (columns, block) = problem
+    n, (b, k) = X.shape[0], block.shape
+    columns, block = columns.astype(np.int64), block.astype(float)
+    c = data.draw(st.integers(0, k - 1))
+    if fault == "column past the end":
+        columns[c] = data.draw(st.integers(n, n + 3))
+    elif fault == "negative column":
+        columns[c] = -1
+    elif fault == "repeated column":
+        columns = np.append(columns, columns[c])
+        block = np.hstack([block, block[:, :1]])
+    elif fault == "non-finite answer":
+        block[data.draw(st.integers(0, b - 1)), c] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif fault == "float columns":
+        columns = columns.astype(float)
+    elif fault == "bool columns":
+        columns = columns % 2 == 0
+    elif fault == "an annotator too many":
+        block = np.vstack([block, np.ones((m + 1 - b, k))])
+    elif fault == "a column too few":
+        block = block[:, :-1]
+    else:
+        block = np.hstack([block, block[:, :1]])
+    b, k = block.shape
+    with pytest.raises(InvalidInputError) as flat:
+        CrowdDataset(X, np.tile(columns, b), np.repeat(np.arange(b), k),
+                     block.ravel(), m)
+    with pytest.raises(InvalidInputError) as got:
+        CrowdDataset(X, columns, None, block, m)
+    assert str(got.value) == str(flat.value)
 
 
 @PROPERTY
