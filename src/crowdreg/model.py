@@ -111,27 +111,13 @@ def _label_error(k, row, annotator, value, n, m) -> InvalidInputError:
         f"and a (row, annotator) pair not labeled before")
 
 
-def _block_labels(columns, block):
-    """The block form's labels as the flat form's three vectors: for a (b, k)
-    ``block``, ``tile(columns, b)``, ``repeat(arange(b), k)`` and
-    ``block.ravel()``."""
-    if block.ndim != 2:
-        raise InvalidInputError(
-            f"values: a block of answers needs the shape (annotators, "
-            f"columns), got {block.shape}")
-    b, k = block.shape
-    return np.tile(columns, b), np.repeat(np.arange(b), k), block.ravel()
-
-
 def _is_valid_block(columns, block, n, m) -> bool:
-    """Whether a (b, k) ``block`` on ``columns`` passes, checked as a whole,
-    what :func:`_checked_labels` checks label by label: 1 <= b <= m, k >= 1
-    distinct integer columns in [0, n), and finite numbers.  False says only
-    that the labels need the label-by-label check."""
-    if block.ndim != 2 or columns.ndim != 1:
-        return False
+    """Whether a 2-D (b, k) ``block`` on ``columns`` passes, checked as a
+    whole, what :func:`_checked_labels` checks label by label: 1 <= b <= m,
+    k >= 1 distinct integer columns in [0, n), and finite numbers.  False
+    says only that the labels need the label-by-label check."""
     b, k = block.shape
-    if not (0 < b <= m and 0 < k == columns.size
+    if not (columns.ndim == 1 and 0 < b <= m and 0 < k == columns.size
             and columns.dtype.kind in "iu" and block.dtype.kind in "iuf"):
         return False
     s = np.sort(columns)
@@ -139,35 +125,44 @@ def _is_valid_block(columns, block, n, m) -> bool:
                 and _all(np.isfinite(block), axis=None))
 
 
-def _block_dataset(instances, columns, block, m):
-    """The label vectors and the statistics of a valid block.
+def _annotator_runs(rows, annotators, values):
+    """Checked flat labels as runs of one annotator each, ``(j, j's rows, j's
+    answers as a (1, k) block)``, in label order.  A generator: nothing of
+    size m is allocated before the statistics are."""
+    order = np.argsort(annotators, kind="stable")
+    counts = np.bincount(annotators)
+    labeling = np.flatnonzero(counts)
+    stops = np.cumsum(counts[labeling]).tolist()
+    for j, start, stop in zip(labeling.tolist(), [0, *stops], stops):
+        idx = order[start:stop]
+        yield j, rows[idx], values[idx][None]
 
-    The vectors are :func:`_block_labels`, each a view of a new read-only
-    (b, k) array.  The statistics are :attr:`CrowdDataset._suffstats`'s
-    bits from one row gather and one Gram for all of the block's
-    annotators.  Each annotator's answers are a copy, not a view of the
-    values: a view may start 8 bytes off a 16-byte boundary, and some BLAS
-    kernels (OpenBLAS's Prescott ``ddot``) then sum in another order than
-    on a new array.
-    """
-    (b, k), d = block.shape, instances.shape[1]
-    labels = []
-    for v, t in ((columns, np.intp), (np.arange(b)[:, None], np.intp),
-                 (block, float)):
-        v = np.broadcast_to(v, (b, k)).astype(t, order="C")
-        v.setflags(write=False)
-        labels.append(v.reshape(-1))
-    gram, xty, ysq = np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m)
-    counts = np.zeros(m, np.intp)
-    x = instances[columns]
-    xt = x.T
-    gram[:b], counts[:b] = (xt @ x).ravel(), k
-    for j, ys in enumerate(labels[2].reshape(b, k)):
-        ys = ys.copy()
-        xty[j], ysq[j] = xt @ ys, ys @ ys
+
+def _statistics(instances, runs, m):
+    """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked.
+    A run ``(lo, rows, answers)``, in which annotator ``lo + i`` gave
+    ``answers[i]`` on ``rows``, costs one row gather and one Gram; the bits
+    are :func:`_accumulate`'s from zero.  Each annotator's answers are
+    copied first: a view may start 8 bytes off a 16-byte boundary, and some
+    BLAS kernels (OpenBLAS's Prescott ``ddot``) then sum in another order."""
+    d = instances.shape[1]
+    try:
+        gram, xty, ysq, counts = (np.zeros((m, d * d)), np.zeros((m, d)),
+                                  np.zeros(m), np.zeros(m, np.intp))
+    except MemoryError:
+        raise InvalidInputError(
+            f"num_annotators {m}: the m x d^2 statistics at d = {d} do not "
+            f"fit in memory") from None
+    for lo, rows, answers in runs:
+        (b, k), x = answers.shape, instances[rows]
+        xt = x.T
+        gram[lo:lo + b], counts[lo:lo + b] = (xt @ x).ravel(), k
+        for j, ys in enumerate(answers, lo):
+            ys = ys.copy()
+            xty[j], ysq[j] = xt @ ys, ys @ ys
     for a in (gram, xty, ysq):  # 0.0 + v, as _accumulate: -0.0 reads +0.0
         a += 0.0
-    return labels, (gram, xty, ysq, counts)
+    return gram, xty, ysq, counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +192,13 @@ class CrowdDataset:
     flat form gives for the same labels; a block that is not 2-D fails on
     its own.
 
-    A valid block builds the per-annotator sufficient statistics in the
-    constructor, from one row gather and one Gram.  The flat form builds
-    them annotator by annotator on first use.  :meth:`with_label` checks
-    only the new label and adds it to a copy of the statistics.
+    Both forms build the per-annotator sufficient statistics in the
+    constructor, after every label check, with one row gather and one Gram
+    per run of annotators that label the same rows in the same order: a
+    valid block is one run, and flat labels are one run per labeling
+    annotator.  A ``num_annotators`` whose m x d^2 statistics cannot be
+    allocated fails naming it.  :meth:`with_label` checks only the new label
+    and adds it to a copy of the statistics.
     """
 
     instances: np.ndarray
@@ -219,18 +217,33 @@ class CrowdDataset:
         m = _integer(self.num_annotators, "num_annotators", 1,
                      np.iinfo(np.intp).max // max(n, 8 * d * d))
         inst = _frozen_array(inst)
-        labels = self.rows, self.annotators, self.values
-        if self.annotators is None:
+        labels, runs = (self.rows, self.annotators, self.values), None
+        if self.annotators is None:  # the block form, flattened here
             columns, block = np.asarray(self.rows), np.asarray(self.values)
-            if _is_valid_block(columns, block, n, m):
-                labels, self.__dict__["_suffstats"] = _block_dataset(
-                    inst, columns, block, m)
-            else:
-                labels = _block_labels(columns, block)
-        if "_suffstats" not in self.__dict__:  # not a valid block
+            if block.ndim != 2:
+                raise InvalidInputError(
+                    f"values: a block of answers needs the shape "
+                    f"(annotators, columns), got {block.shape}")
+            b, k = block.shape
+            if not _is_valid_block(columns, block, n, m):
+                labels = (np.tile(columns, b), np.repeat(np.arange(b), k),
+                          block.ravel())
+            else:  # one cast copy each: built by tile and repeat, these
+                # arrays made glibc trim and re-fault the heap on every build
+                labels = [np.broadcast_to(v, (b, k)).astype(t, order="C")
+                          for v, t in ((columns, np.intp),
+                                       (np.arange(b)[:, None], np.intp),
+                                       (block, float))]
+                for v in labels:
+                    v.setflags(write=False)
+                runs = [(0, columns, labels[2])]
+                labels = [v.ravel() for v in labels]
+        if runs is None:
             labels = _checked_labels(*labels, n, m)
-        self.__dict__.update(zip(("instances", "rows", "annotators", "values",
-                                  "num_annotators"), (inst, *labels, m)))
+            runs = _annotator_runs(*labels)
+        self.__dict__.update(zip(
+            ("instances", "rows", "annotators", "values", "num_annotators",
+             "_suffstats"), (inst, *labels, m, _statistics(inst, runs, m))))
 
     @property
     def n(self) -> int:
@@ -250,27 +263,6 @@ class CrowdDataset:
         counts = self._suffstats[3].view()
         counts.setflags(write=False)
         return counts
-
-    @cached_property
-    def _suffstats(self):
-        """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked:
-        :func:`_accumulate` from zero on each annotator's labels, which one
-        stable sort groups in their given order.  Built here, on first use,
-        only for the flat form: the m x d^2 arrays need not fit in memory
-        for a dataset to be checked."""
-        m, d = self.num_annotators, self.d
-        stats = (np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m),
-                 np.zeros(m, np.intp))
-        order = np.argsort(self.annotators, kind="stable")
-        counts = np.bincount(self.annotators, minlength=m)
-        start = 0
-        for j, stop in enumerate(np.cumsum(counts).tolist()):
-            if stop > start:
-                idx = order[start:stop]
-                _accumulate(stats, j, self.instances[self.rows[idx]],
-                            self.values[idx])
-                start = stop
-        return stats
 
     def with_label(self, i: int, j: int, y: float) -> "CrowdDataset":
         """A new dataset with one extra label; the original is untouched.
@@ -359,11 +351,16 @@ class PrecisionPosterior:
 
     def __post_init__(self):
         shape, rate = _frozen_array(self.shape), _frozen_array(self.rate)
-        if not (shape.ndim == 1 and rate.shape == shape.shape and np.all(
-                (0 < shape) & (shape < np.inf) & (0 < rate) & (rate < np.inf))):
+        if not (shape.ndim == 1 and rate.shape == shape.shape):
             raise InvalidInputError(
-                f"shape and rate must be equally long vectors of finite "
-                f"values > 0, got {shape} and {rate}")
+                f"shape and rate must be equally long vectors, got the "
+                f"shapes {shape.shape} and {rate.shape}")
+        bad = ~((0 < shape) & (shape < np.inf) & (0 < rate) & (rate < np.inf))
+        if bad.any():
+            j = int(bad.argmax())
+            raise InvalidInputError(
+                f"precision factor {j} (shape {shape[j]}, rate {rate[j]}): "
+                f"need finite values > 0")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rate", rate)
 

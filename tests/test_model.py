@@ -71,14 +71,26 @@ class TestCrowdDataset:
             CrowdDataset(np.ones((3, 2)), [0, 1], [0, m - 1], [1.0, 2.0], m)
 
     def test_the_largest_annotator_count_keeps_every_pair_apart(self):
-        # with n = 10 > 8 d^2 the pair keys set the limit; the statistics
-        # are never built
+        # with n = 10 > 8 d^2 the pair keys set the limit.  The labels pass
+        # their checks, so a key collision would fail as label 2; the
+        # statistics, 7.4 EB at this m, then fail to allocate
         X, m = np.ones((10, 1)), np.iinfo(np.intp).max // 10
-        CrowdDataset(X, [9, 9, 0], [m - 1, m - 2, m - 1], [1.0] * 3, m)
+        with pytest.raises(InvalidInputError,
+                           match=f"^num_annotators {m}: .* do not fit in "
+                                 f"memory$"):
+            CrowdDataset(X, [9, 9, 0], [m - 1, m - 2, m - 1], [1.0] * 3, m)
         with pytest.raises(InvalidInputError, match="^label 2 "):
             CrowdDataset(X, [9, 0, 9], [m - 1] * 3, [1.0] * 3, m)
         with pytest.raises(InvalidInputError, match="^num_annotators"):
             CrowdDataset(X, [0], [0], [1.0], m + 1)
+
+    def test_a_block_too_large_for_memory_fails_naming_the_count(self):
+        # m x d^2 floats at d = 1 are 7.4 EB, past any address space, so
+        # the allocation fails at once (the flat form: the test above)
+        X, m = np.ones((10, 1)), np.iinfo(np.intp).max // 10
+        with pytest.raises(InvalidInputError,
+                           match=f"^num_annotators {m}: .* do not fit in"):
+            CrowdDataset(X, [0, 1], None, [[1.0, 2.0]], m)
 
     def test_block_form_holds_the_block_as_label_vectors(self):
         # block[j, c] is annotator j's answer on row columns[c]; a block may
@@ -96,14 +108,13 @@ class TestCrowdDataset:
             CrowdDataset(np.ones((2, 2)), [0, 1], None, block, 1)
 
     def test_statistics_exist_once_a_block_or_a_child_is_built(self):
-        # the block form builds its statistics in the constructor, and
-        # with_label carries a copy to the child whichever form its parent
-        # took
+        # both forms build their statistics in the constructor, and
+        # with_label carries a copy to the child
         X = np.ones((3, 2))
         block = CrowdDataset(X, [0, 1], None, np.ones((2, 2)), 2)
         flat = CrowdDataset(X, [0, 1], [0, 0], [1.0, 1.0], 2)
-        assert "_suffstats" in vars(block)
         for ds in (block, flat):
+            assert "_suffstats" in vars(ds)
             assert "_suffstats" in vars(ds.with_label(2, 1, 1.0))
 
     def test_takes_a_numpy_integer_annotator_count(self):
@@ -212,6 +223,18 @@ class TestExpectedPrecision:
                             ([1.0, 1.0], [1.0]), (1.0, 1.0), ([[1.0]], [[1.0]])]:
             with pytest.raises(InvalidInputError):
                 PrecisionPosterior(shape, rate)
+
+    def test_error_names_the_first_bad_factor(self):
+        # the error names the one bad entry, not the two whole vectors
+        # (over 300 characters at m = 50, cut short by numpy past 1,000)
+        rate = np.ones(50)
+        rate[37] = -0.5
+        with pytest.raises(InvalidInputError, match=r"^precision factor 37 "
+                           r"\(shape 1\.0, rate -0\.5\): need finite "):
+            PrecisionPosterior(np.ones(50), rate)
+        with pytest.raises(InvalidInputError, match=r"shapes \(50,\) and "
+                                                    r"\(49,\)$"):
+            PrecisionPosterior(np.ones(50), rate[:49])
 
     def test_vectors_are_read_only_copies(self):
         shape = np.array([2.0, 3.0])
