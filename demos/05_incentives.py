@@ -33,8 +33,8 @@ cases = {
 
 print("\nstrategic effort choices:")
 for name, cost in cases.items():
-    worker = AnnotatorProfile(0, best_precision=8.0, cost=cost, strategic=True)
-    effort, joins = optimal_effort(worker, scheme, grid=4000)
+    worker = AnnotatorProfile(best_precision=8.0, cost=cost)
+    effort, joins = optimal_effort(worker, scheme)
     gain = utility(effort, cost, scheme) if joins else 0.0
     print(f"  {name:24s} effort {effort:5.3f}  participates={joins}"
           f"  utility {gain:5.2f}")
@@ -48,8 +48,7 @@ for _ in range(200):
     hi = lo + float(rng.uniform(0.5, 4.0))
     sch = PaymentScheme(float(rng.uniform(2.0, 15.0)), lo, hi)
     cost = CostFunction("quadratic", (sch.budget / (2 * hi**2),))
-    worker = AnnotatorProfile(0, best_precision=2 * hi, cost=cost,
-                              strategic=True)
+    worker = AnnotatorProfile(best_precision=2 * hi, cost=cost)
     effort, joins = optimal_effort(worker, sch)
     if joins:
         assert utility(effort, cost, sch) >= 0

@@ -177,7 +177,10 @@ def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
     """
     if type(j) is not int or not 0 <= j < state.num_annotators:
         j = _integer(j, "annotator index", 0, state.num_annotators - 1)
-    residual_sq = float(residual_sq)
+    try:
+        residual_sq = float(residual_sq)
+    except (TypeError, ValueError):
+        residual_sq = math.nan
     if not (math.isfinite(residual_sq) and residual_sq >= 0):
         raise InvalidInputError("residual_sq must be finite and >= 0")
     threshold = _cutoff(state, state.t + 1)
@@ -199,12 +202,17 @@ def initialize_state(state: BanditState, residual_sqs) -> BanditState:
     """
     if state.t != 0:
         raise InvalidInputError("state has already been played")
-    if len(residual_sqs) != state.num_annotators:
-        raise InvalidInputError("need one residual sequence per annotator")
-    batch = [[float(value) for value in seq] for seq in residual_sqs]
+    try:
+        batch = [[float(value) for value in seq] for seq in residual_sqs]
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            "residual_sqs must hold sequences of numbers") from None
+    if len(batch) != state.num_annotators:
+        raise InvalidInputError(
+            "residual_sqs must hold one sequence per annotator")
     if not all(math.isfinite(value) and value >= 0
                for seq in batch for value in seq):
-        raise InvalidInputError("residuals must be finite and >= 0")
+        raise InvalidInputError("residual_sqs must be finite and >= 0")
     t = sum(map(len, batch))
     if t == 0:
         return state
@@ -231,9 +239,16 @@ class RegretLedger:
         if gaps.size < 1 or np.any(gaps < 0):
             raise InvalidInputError("gaps must be non-empty and >= 0")
         self.gaps = gaps
-        self.pulls = np.asarray(self.pulls, dtype=int).copy()
-        if self.pulls.shape != gaps.shape:
-            raise InvalidInputError("pulls must match gaps in length")
+        try:
+            pulls = np.asarray(self.pulls)
+        except (TypeError, ValueError):
+            pulls = None
+        if (pulls is None or pulls.dtype.kind not in "iu"
+                or pulls.shape != gaps.shape or np.any(pulls < 0)):
+            raise InvalidInputError(
+                f"pulls must be {gaps.size} integer counts >= 0, one per "
+                f"gap, got {self.pulls!r}")
+        self.pulls = pulls.astype(int)
 
     @classmethod
     def from_precisions(cls, precisions) -> "RegretLedger":

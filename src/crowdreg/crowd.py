@@ -23,7 +23,14 @@ __all__ = [
     "optimal_effort",
 ]
 
-_COST_FAMILIES = ("linear", "quadratic", "threshold")
+# family -> (parameter count, cost of the efforts b under the params p)
+_COST_FAMILIES = {
+    "linear": (1, lambda p, b: p[0] * b),
+    "quadratic": (1, lambda p, b: p[0] * b**2),
+    "threshold": (3, lambda p, b:
+                  p[0] * b + p[1] * np.maximum(0.0, b - p[2]) ** 2),
+}
+_EFFORT_GRID = 1000  # uniform grid points that optimal_effort searches
 
 
 @dataclass(frozen=True)
@@ -41,10 +48,11 @@ class CostFunction:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _COST_FAMILIES:
-            raise InvalidInputError(f"kind must be one of {_COST_FAMILIES}")
+        if not (isinstance(self.kind, str) and self.kind in _COST_FAMILIES):
+            raise InvalidInputError(
+                f"kind must be one of {tuple(_COST_FAMILIES)}")
         params = tuple(_finite_array(self.params, "params", 1).tolist())
-        expected = 3 if self.kind == "threshold" else 1
+        expected = _COST_FAMILIES[self.kind][0]
         if len(params) != expected:
             raise InvalidInputError(f"{self.kind} cost takes {expected} "
                                     f"parameter(s), got {len(params)}")
@@ -58,13 +66,7 @@ class CostFunction:
         b = np.asarray(beta, dtype=float)
         if not np.all(b >= 0):
             raise InvalidInputError("effort must be >= 0")
-        if self.kind == "linear":
-            out = self.params[0] * b
-        elif self.kind == "quadratic":
-            out = self.params[0] * b**2
-        else:
-            a, slope, knee = self.params
-            out = a * b + slope * np.maximum(0.0, b - knee) ** 2
+        out = _COST_FAMILIES[self.kind][1](self.params, b)
         return float(out) if np.isscalar(beta) else out
 
 
@@ -72,18 +74,19 @@ class CostFunction:
 class AnnotatorProfile:
     """Simulator-side ground truth for one annotator.
 
-    ``best_precision`` is the inverse noise variance at full effort; the cost
-    function only matters for strategic annotators.
+    ``best_precision`` is the inverse noise variance at full effort.  An
+    annotator with a ``cost`` is strategic: :func:`optimal_effort` picks its
+    effort.
     """
 
-    id: int
     best_precision: float
     cost: CostFunction | None = None
-    strategic: bool = False
 
     def __post_init__(self):
-        _integer(self.id, "id", 0)
         _positive(self.best_precision, "best_precision")
+        if not (self.cost is None or isinstance(self.cost, CostFunction)):
+            raise InvalidInputError(
+                f"cost must be None or a CostFunction, got {self.cost!r}")
 
 
 def make_annotators(m, good, interval_good, interval_bad, seed):
@@ -105,8 +108,7 @@ def make_annotators(m, good, interval_good, interval_bad, seed):
         rng.uniform(interval_good[0], interval_good[1], size=good),
         rng.uniform(interval_bad[0], interval_bad[1], size=m - good),
     ])
-    return [AnnotatorProfile(id=j, best_precision=1.0 / sd[j] ** 2)
-            for j in range(m)]
+    return [AnnotatorProfile(1.0 / sd[j] ** 2) for j in range(m)]
 
 
 def label_value(profile: AnnotatorProfile, true_value, effort: float, noise):
@@ -120,26 +122,27 @@ def label_value(profile: AnnotatorProfile, true_value, effort: float, noise):
         raise InvalidInputError(
             f"effort {effort} outside (0, {profile.best_precision}]"
         )
-    return true_value + noise * (1.0 / np.sqrt(effort))
+    try:
+        return true_value + noise * (1.0 / np.sqrt(effort))
+    except (TypeError, ValueError):
+        raise InvalidInputError("true_value and noise must be numbers or "
+                                "equally shaped arrays") from None
 
 
-def optimal_effort(profile: AnnotatorProfile, scheme: PaymentScheme,
-                   grid: int = 1000) -> tuple[float, bool]:
+def optimal_effort(profile: AnnotatorProfile,
+                   scheme: PaymentScheme) -> tuple[float, bool]:
     """Effort a strategic annotator commits to under a payment scheme.
 
-    Utility payment(effort) - cost(effort) is maximized over a uniform grid
-    on [0, min(best precision, 1.5 * top payment band)].  The annotator
-    participates only when the best utility is strictly positive; otherwise
-    the returned effort is 0.  Non-strategic annotators always work at best
-    precision.
+    Utility payment(effort) - cost(effort) is maximized over 1000 uniform
+    grid points on [0, min(best precision, 1.5 * top payment band)].  The
+    annotator participates only when the best utility is strictly positive;
+    otherwise the returned effort is 0.  An annotator without a cost always
+    works at best precision.
     """
-    grid = _integer(grid, "grid", 2)
-    if not profile.strategic:
-        return profile.best_precision, True
     if profile.cost is None:
-        raise InvalidInputError("strategic annotator needs a cost function")
+        return profile.best_precision, True
     top = min(profile.best_precision, 1.5 * scheme.beta_upper)
-    candidates = np.linspace(0.0, top, grid)
+    candidates = np.linspace(0.0, top, _EFFORT_GRID)
     utilities = utility(candidates, profile.cost, scheme)
     best = int(np.argmax(utilities))
     if utilities[best] > 0:

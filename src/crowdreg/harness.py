@@ -446,10 +446,9 @@ class _Repetition:
 
     ``pool_idx`` maps pool positions to data rows, and ``answers[j, i]`` is
     annotator ``j``'s label on pool row ``i``; ``efforts`` are the
-    annotators' true precisions.  ``instance_rule`` and ``annotator_rule``
-    are the strategy's row of ``_RULES``.  ``priors`` is the one (weight
-    prior, precision priors) pair under which every fit of the repetition
-    runs: the scale search, the seed fit and each round's refit.
+    annotators' true precisions.  ``priors`` is the one (weight prior,
+    precision priors) pair under which every fit of the repetition runs: the
+    scale search, the seed fit and each round's refit.
     ``dataset`` is the seed block over the pool features, and ``weights``
     and ``precisions`` are its fit.
     """
@@ -459,8 +458,6 @@ class _Repetition:
     pool_idx: np.ndarray
     answers: np.ndarray
     efforts: np.ndarray
-    instance_rule: str
-    annotator_rule: str
     priors: tuple[WeightPosterior, PrecisionPosterior]
     dataset: CrowdDataset
     weights: WeightPosterior
@@ -497,10 +494,8 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
     test_norm = apply_normalization(X[test_idx], params)
     pool_z, test_z = z[pool_idx], z[test_idx]
 
-    instance_rule, annotator_rule = _RULES[config.strategy]
-    if annotator_rule == "source":
-        profiles = [AnnotatorProfile(id=0,
-                                     best_precision=1.0 / _SINGLE_SOURCE_SD**2)]
+    if _RULES[config.strategy][1] == "source":
+        profiles = [AnnotatorProfile(1.0 / _SINGLE_SOURCE_SD**2)]
     else:
         profiles = make_annotators(
             config.num_annotators, config.num_good,
@@ -526,8 +521,8 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
         pool_phi, test_phi = transform(pool_norm, spec), transform(test_norm, spec)
     seed_fit = _fit_block(pool_phi, answers, np.arange(seed_answers.shape[1]),
                           priors)
-    return _Repetition(test_phi, test_z, pool_idx, answers, efforts,
-                       instance_rule, annotator_rule, priors, *seed_fit)
+    return _Repetition(test_phi, test_z, pool_idx, answers, efforts, priors,
+                       *seed_fit)
 
 
 def _sigmoid_centers(pool, seed):
@@ -557,9 +552,10 @@ def _run_repetition(config, data, rep):
     ledger = bd.RegretLedger.from_precisions(setup.efforts)
     scheme = config.scheme()
     strategy_rng = np.random.default_rng([rep_seed, _STRATEGY])
+    instance_rule, annotator_rule = _RULES[config.strategy]
 
     state = None
-    if setup.annotator_rule == "ucb":
+    if annotator_rule == "ucb":
         horizon = max(seed_count * m + config.budget, 2)
         state = bd.BanditState(m, config.moment_bound(), horizon=horizon)
         # per-row dot products, as the round loop takes them: a matrix
@@ -578,7 +574,7 @@ def _run_repetition(config, data, rep):
     unlabeled = np.arange(seed_count, dataset.n)
     for t in range(1, min(config.budget, unlabeled.size) + 1):
         # instance first, then annotator: both may draw from strategy_rng
-        if setup.instance_rule == "uniform":
+        if instance_rule == "uniform":
             pos = int(unlabeled[strategy_rng.integers(unlabeled.size)])
         else:
             pos = select_instance(unlabeled, pool_phi, weights)

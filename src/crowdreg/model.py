@@ -350,7 +350,14 @@ class PrecisionPosterior:
     rate: np.ndarray
 
     def __post_init__(self):
-        shape, rate = _frozen_array(self.shape), _frozen_array(self.rate)
+        arrays = []
+        for name in ("shape", "rate"):
+            try:
+                arrays.append(_frozen_array(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    f"{name} must be a vector of numbers") from None
+        shape, rate = arrays
         if not (shape.ndim == 1 and rate.shape == shape.shape):
             raise InvalidInputError(
                 f"shape and rate must be equally long vectors, got the "

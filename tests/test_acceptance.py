@@ -263,9 +263,8 @@ def test_criterion_10_mechanism_audit():
                                       (0.05 * scheme.budget / upper, 0.1, upper)),
         }
         for name, cost in families.items():
-            profile = AnnotatorProfile(0, best_precision=2.0 * upper,
-                                       cost=cost, strategic=True)
-            effort, joined = optimal_effort(profile, scheme, grid=500)
+            profile = AnnotatorProfile(best_precision=2.0 * upper, cost=cost)
+            effort, joined = optimal_effort(profile, scheme)
             if name == "overpriced":
                 assert not joined and effort == 0.0
                 refusals += 1

@@ -298,6 +298,14 @@ class TestInitializeState:
         assert state.t == 3 and list(state.pulls) == [2, 1]
         assert state.truncated_means[0] == pytest.approx(-0.15)
 
+    @pytest.mark.parametrize("batch", [[[0.1], ["a"]], [[0.1], None],
+                                       [[0.1], [[0.2]]], 0.5])
+    def test_a_non_numeric_batch_fails_naming_residual_sqs(self, batch):
+        state = BanditState(2, 1.0, horizon=10)
+        with pytest.raises(InvalidInputError, match=r"\bresidual_sqs\b"):
+            initialize_state(state, batch)
+        assert state.t == 0 and list(state.pulls) == [0, 0]
+
 
 residuals = st.floats(0.0, 50.0)
 

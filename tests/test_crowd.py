@@ -44,7 +44,7 @@ class TestMakeAnnotators:
 
 class TestSampleLabel:
     def test_mean_matches_clean_response(self):
-        profile = AnnotatorProfile(0, best_precision=4.0)
+        profile = AnnotatorProfile(best_precision=4.0)
         rng = np.random.default_rng(17)
         x = np.array([1.0, 2.0])
         w = np.array([0.5, 0.25])
@@ -55,13 +55,13 @@ class TestSampleLabel:
         assert abs(errors.mean()) <= 4 * 0.5 / 100
 
     def test_variance_matches_effort(self):
-        profile = AnnotatorProfile(0, best_precision=4.0)
+        profile = AnnotatorProfile(best_precision=4.0)
         rng = np.random.default_rng(23)
         draws = label_value(profile, 0.0, 4.0, rng.standard_normal(10_000))
         assert draws.var() == pytest.approx(0.25, rel=0.15)
 
     def test_zero_weights_zero_mean(self):
-        profile = AnnotatorProfile(0, best_precision=9.0)
+        profile = AnnotatorProfile(best_precision=9.0)
         rng = np.random.default_rng(29)
         x, w = np.array([5.0, -3.0]), np.zeros(2)
         draws = label_value(profile, float(w @ x), 9.0,
@@ -69,7 +69,7 @@ class TestSampleLabel:
         assert abs(draws.mean()) <= 4 * (1.0 / 3.0) / 100
 
     def test_effort_above_ability_rejected(self):
-        profile = AnnotatorProfile(0, best_precision=2.0)
+        profile = AnnotatorProfile(best_precision=2.0)
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidInputError):
             label_value(profile, 0.0, 2.5, rng.standard_normal())
@@ -109,41 +109,33 @@ class TestOptimalEffort:
 
     def test_unprofitable_cost_means_no_participation(self):
         # cost exceeds any payment everywhere above the zero-pay band
-        profile = AnnotatorProfile(0, best_precision=10.0,
-                                   cost=CostFunction("linear", (20.0,)),
-                                   strategic=True)
+        profile = AnnotatorProfile(best_precision=10.0,
+                                   cost=CostFunction("linear", (20.0,)))
         assert optimal_effort(profile, self.scheme) == (0.0, False)
 
     def test_interior_optimum_matches_fine_grid(self):
-        # payment slope 5 against cost beta^2 peaks at beta = 2.5
-        profile = AnnotatorProfile(0, best_precision=10.0,
-                                   cost=CostFunction("quadratic", (1.0,)),
-                                   strategic=True)
-        beta, joined = optimal_effort(profile, self.scheme, grid=500)
+        # payment slope 5 against cost beta^2 peaks at beta = 2.5, which is
+        # one of the 1000 grid points on [0, 4.5]
+        profile = AnnotatorProfile(best_precision=10.0,
+                                   cost=CostFunction("quadratic", (1.0,)))
+        beta, joined = optimal_effort(profile, self.scheme)
         assert joined
         top = min(profile.best_precision, 1.5 * self.scheme.beta_upper)
-        step = top / 499
+        step = top / 999
         fine = np.linspace(0.0, top, 5000)
         utilities = (np.clip((fine - 1.0) / 2.0, 0, 1) * 10.0) - fine**2
         best_fine = fine[np.argmax(utilities)]
         assert self.scheme.beta_lower < beta < self.scheme.beta_upper
         assert abs(beta - best_fine) <= step
-        assert abs(beta - 2.5) <= step
+        assert beta == 2.5
 
     def test_corner_optimum_at_top_of_band(self):
-        profile = AnnotatorProfile(0, best_precision=10.0,
-                                   cost=CostFunction("linear", (0.5,)),
-                                   strategic=True)
-        beta, joined = optimal_effort(profile, self.scheme, grid=2000)
+        profile = AnnotatorProfile(best_precision=10.0,
+                                   cost=CostFunction("linear", (0.5,)))
+        beta, joined = optimal_effort(profile, self.scheme)
         assert joined
-        assert beta == pytest.approx(3.0, abs=3 * 4.5 / 1999)
+        assert beta == 3.0
 
     def test_non_strategic_always_full_effort(self):
-        profile = AnnotatorProfile(0, best_precision=7.0)
+        profile = AnnotatorProfile(best_precision=7.0)
         assert optimal_effort(profile, self.scheme) == (7.0, True)
-
-    def test_grid_floor(self):
-        profile = AnnotatorProfile(0, best_precision=1.0, strategic=True,
-                                   cost=CostFunction("linear", (1.0,)))
-        with pytest.raises(InvalidInputError):
-            optimal_effort(profile, self.scheme, grid=1)

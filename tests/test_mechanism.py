@@ -141,9 +141,9 @@ class TestIncentiveAudit:
                              (0.05 * scheme.budget / upper, 0.1, upper)),
             ]
             for cost in costs:
-                profile = AnnotatorProfile(0, best_precision=2.0 * upper,
-                                           cost=cost, strategic=True)
-                effort, joined = optimal_effort(profile, scheme, grid=400)
+                profile = AnnotatorProfile(best_precision=2.0 * upper,
+                                           cost=cost)
+                effort, joined = optimal_effort(profile, scheme)
                 if joined:
                     assert utility(effort, cost, scheme) >= 0
                     assert effort > scheme.beta_lower

@@ -84,8 +84,8 @@ _POPULATION = dict(m=3, good=1, interval_good=(0.1, 1.0),
 _POINTS = np.arange(8.0).reshape(4, 2)
 _CENTERS = np.zeros((1, 2))
 _SCHEME = crowdreg.PaymentScheme(1.0, 1.0, 2.0)
-_WORKER = crowdreg.AnnotatorProfile(
-    0, 4.0, crowdreg.CostFunction("linear", (1.0,)), strategic=True)
+_WORKER = crowdreg.AnnotatorProfile(4.0,
+                                    crowdreg.CostFunction("linear", (1.0,)))
 _WITH_NAN = [[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]
 
 BOUNDARY_ROWS = [
@@ -97,12 +97,12 @@ BOUNDARY_ROWS = [
     (crowdreg.fit_centers, dict(X=_POINTS, k=2, seed=0), "k", 2.5),
     (crowdreg.fit_centers, dict(X=_POINTS, k=2, seed=0), "k", True),
     (crowdreg.fit_centers, dict(X=_POINTS, k=2, seed=0), "X", _WITH_NAN),
-    (crowdreg.optimal_effort, dict(profile=_WORKER, scheme=_SCHEME),
-     "grid", 2.5),
+    # a cost given by family name, not as a CostFunction
+    (crowdreg.AnnotatorProfile, dict(best_precision=1.0), "cost", "linear"),
     (crowdreg.RegretLedger.from_precisions, dict(precisions=[1.0, 2.0]),
      "precisions", []),
-    (crowdreg.AnnotatorProfile, dict(id=0, best_precision=1.0),
-     "best_precision", True),
+    (crowdreg.AnnotatorProfile, dict(best_precision=1.0), "best_precision",
+     True),
     (crowdreg.TransformSpec, dict(centers=_CENTERS, scale=1.0), "scale", True),
     (crowdreg.TransformSpec, dict(centers=_CENTERS, scale=1.0), "centers",
      [[np.nan, 0.0]]),
@@ -111,6 +111,27 @@ BOUNDARY_ROWS = [
     (crowdreg.label_value,
      dict(profile=_WORKER, true_value=1.0, effort=1.0, noise=0.5),
      "effort", True),
+    (crowdreg.label_value,
+     dict(profile=_WORKER, true_value=np.ones(2), effort=1.0,
+          noise=np.full(2, 0.5)),
+     "noise", np.full(3, 0.5)),
+    (crowdreg.label_value,
+     dict(profile=_WORKER, true_value=1.0, effort=1.0, noise=0.5),
+     "noise", "a"),
+    # a count is an integer >= 0: a fraction is not truncated to one
+    (crowdreg.RegretLedger, dict(gaps=[0.0, 1.0], pulls=[0, 1]), "pulls",
+     [0.5, 1.7]),
+    (crowdreg.RegretLedger, dict(gaps=[0.0, 1.0], pulls=[0, 1]), "pulls",
+     [-1, 3]),
+    (crowdreg.RegretLedger, dict(gaps=[0.0, 1.0], pulls=[0, 1]), "pulls",
+     ["a", 3]),
+    (crowdreg.PrecisionPosterior, dict(shape=[1.0], rate=[1.0]), "shape",
+     ["a"]),
+    (crowdreg.PrecisionPosterior, dict(shape=[1.0], rate=[1.0]), "rate",
+     ["b"]),
+    (crowdreg.record_outcome,
+     dict(state=crowdreg.BanditState(2, 1.0, 10), j=1, residual_sq=0.5),
+     "residual_sq", "a"),
     (crowdreg.CostFunction, dict(kind="threshold", params=(1, 1, 1)),
      "params", (1, np.nan, 1)),
     (crowdreg.BanditState, dict(num_annotators=3, u=1.0, horizon=10),
@@ -137,7 +158,6 @@ BOUNDARY_ROWS = [
      "gaps", [np.nan, 1.0]),
     (crowdreg.RegretLedger.from_precisions, dict(precisions=[1.0, 2.0]),
      "precisions", [np.inf, 1.0]),
-    (crowdreg.AnnotatorProfile, dict(id=0, best_precision=1.0), "id", True),
     (crowdreg.default_weight_prior, dict(d=2), "d", True),
     (crowdreg.default_precision_priors, dict(m=2), "m", 2.5),
     (crowdreg.apply_normalization,
