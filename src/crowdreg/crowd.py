@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _finite_array, _integer, _positive
+from .errors import (InvalidInputError, _finite_array, _float_array, _integer,
+                     _positive)
 from .mechanism import PaymentScheme, utility
 
 __all__ = [
@@ -62,12 +63,12 @@ class CostFunction:
                                     f"got {params}")
         object.__setattr__(self, "params", params)
 
-    def __call__(self, beta):
-        b = np.asarray(beta, dtype=float)
+    def __call__(self, effort):
+        b = _float_array(effort, "effort")
         if not np.all(b >= 0):
             raise InvalidInputError("effort must be >= 0")
         out = _COST_FAMILIES[self.kind][1](self.params, b)
-        return float(out) if np.isscalar(beta) else out
+        return float(out) if np.isscalar(effort) else out
 
 
 @dataclass(frozen=True)
@@ -114,19 +115,21 @@ def make_annotators(m, good, interval_good, interval_bad, seed):
 def label_value(profile: AnnotatorProfile, true_value, effort: float, noise):
     """True value plus standard-normal ``noise`` scaled to variance 1/effort.
 
-    ``true_value`` and ``noise`` may be scalars or equally shaped arrays, so
-    one call labels many instances at one effort.  Effort cannot exceed the
+    ``true_value`` and ``noise`` may be scalars or equally shaped arrays (or
+    lists), so one call labels many instances at one effort; a scalar on one
+    side labels every entry of the other.  Effort cannot exceed the
     annotator's best precision.
     """
     if _positive(effort, "effort") > profile.best_precision:
         raise InvalidInputError(
             f"effort {effort} outside (0, {profile.best_precision}]"
         )
-    try:
-        return true_value + noise * (1.0 / np.sqrt(effort))
-    except (TypeError, ValueError):
-        raise InvalidInputError("true_value and noise must be numbers or "
-                                "equally shaped arrays") from None
+    true_value = _float_array(true_value, "true_value")
+    noise = _float_array(noise, "noise")
+    if true_value.ndim and noise.ndim and true_value.shape != noise.shape:
+        raise InvalidInputError(f"noise has shape {noise.shape}, but "
+                                f"true_value has shape {true_value.shape}")
+    return true_value + noise * (1.0 / np.sqrt(effort))
 
 
 def optimal_effort(profile: AnnotatorProfile,

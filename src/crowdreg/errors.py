@@ -68,6 +68,16 @@ def _positive(value, name: str) -> float:
     return float(value)
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array of any shape; a float array is returned as
+    it is, not copied."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"{name} must be a number or an array of numbers") from None
+
+
 def _finite_array(value, name: str, ndim: int) -> np.ndarray:
     """``value`` as a float array with ``ndim`` (1 or 2) dimensions and only
     finite entries; a float array is returned as it is, not copied."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _positive
+from .errors import InvalidInputError, _float_array, _positive
 from .model import PrecisionPosterior, expected_precision
 
 __all__ = ["PaymentScheme", "payment", "utility", "settle"]
@@ -34,7 +34,7 @@ class PaymentScheme:
 
 def payment(beta_hat, scheme: PaymentScheme):
     """Clamped linear payment; nondecreasing, bounded in [0, budget]."""
-    b = np.asarray(beta_hat, dtype=float)
+    b = _float_array(beta_hat, "beta_hat")
     if not np.logical_and.reduce(b >= 0, axis=None):
         raise InvalidInputError("estimated precision must be >= 0")
     # clamp before dividing: a huge estimate over a narrow band cannot overflow

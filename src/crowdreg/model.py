@@ -11,17 +11,23 @@ The weight update needs the expected annotator precisions and the precision
 updates need the weight moments, so :func:`fit_variational` iterates the two
 coordinate updates, accelerated by SQUAREM on the Gamma rates, until no rate
 moves more than a relative tolerance.
+
+The Cholesky routines come from scipy's compiled LAPACK wrapper, loaded by
+file so that ``import crowdreg`` does not pay for ``scipy.linalg``'s package.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (InvalidInputError, NumericalFailureError, _finite_array,
                      _integer, _is_int, _is_real, _positive)
@@ -48,6 +54,42 @@ _SYMMETRY_RTOL = 1e-10
 # through a Python wrapper each, which the sweep would pay several times.
 _all, _min, _max, _sum = (np.logical_and.reduce, np.minimum.reduce,
                           np.maximum.reduce, np.add.reduce)
+
+
+def _lapack_routines():
+    """LAPACK's ``dpotrf`` and ``dpotrs`` from scipy's extension module
+    ``scipy/linalg/_flapack``, loaded from its file.
+
+    Importing them from ``scipy.linalg.lapack`` would run ``scipy.linalg``'s
+    package ``__init__``, which takes most of ``import crowdreg``.  Python
+    keeps one copy of the extension's functions, so these are the ones that
+    ``scipy.linalg`` gets.  The module is taken out of ``sys.modules``, where
+    loading it puts it, so a later ``import scipy.linalg`` runs as usual.  If
+    ``scipy.linalg`` holds it already, or the file is missing or fails to
+    load, the functions come from the public ``scipy.linalg.lapack``.
+    """
+    name = "scipy.linalg._flapack"
+    scipy_spec = importlib.util.find_spec("scipy")
+    if name not in sys.modules and scipy_spec is not None:
+        for folder in scipy_spec.submodule_search_locations or ():
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(folder, "linalg", "_flapack" + suffix)
+                if not os.path.isfile(path):
+                    continue
+                try:
+                    spec = importlib.util.spec_from_file_location(name, path)
+                    flapack = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(flapack)
+                except (ImportError, OSError):
+                    continue
+                finally:
+                    sys.modules.pop(name, None)
+                return flapack.dpotrf, flapack.dpotrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    return dpotrf, dpotrs
+
+
+dpotrf, dpotrs = _lapack_routines()
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

@@ -68,6 +68,16 @@ class TestSampleLabel:
                             rng.standard_normal(10_000))
         assert abs(draws.mean()) <= 4 * (1.0 / 3.0) / 100
 
+    def test_list_noise_labels_like_an_array(self):
+        profile = AnnotatorProfile(best_precision=4.0)
+        noise = np.random.default_rng(31).standard_normal(3)
+        true_value = np.array([1.0, -2.0, 0.5])
+        expected = label_value(profile, true_value, 4.0, noise)
+        assert np.array_equal(
+            label_value(profile, true_value, 4.0, noise.tolist()), expected)
+        assert np.array_equal(
+            label_value(profile, true_value.tolist(), 4.0, noise), expected)
+
     def test_effort_above_ability_rejected(self):
         profile = AnnotatorProfile(best_precision=2.0)
         rng = np.random.default_rng(0)

@@ -73,6 +73,10 @@ class TestUtility:
         with pytest.raises(InvalidInputError):
             utility(np.nan, CostFunction("linear", (1.0,)), self.scheme)
 
+    def test_non_numeric_effort_fails_located(self):
+        with pytest.raises(InvalidInputError, match="beta_hat"):
+            utility("a", CostFunction("linear", (1.0,)), self.scheme)
+
     def test_expensive_cost_never_profitable_above_floor(self):
         cost = CostFunction("linear", (15.0,))
         grid = np.linspace(1.0 + 1e-9, 4.0, 200)

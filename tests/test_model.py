@@ -1,8 +1,16 @@
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdreg import model
 from crowdreg import (
     CrowdDataset,
     InvalidInputError,
@@ -17,6 +25,8 @@ from crowdreg import (
     vi_update_precision,
     vi_update_weights,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def one_label_dataset():
@@ -412,3 +422,93 @@ class TestPredictive:
     def test_takes_one_vector(self):
         with pytest.raises(InvalidInputError, match="finite vector"):
             predictive(np.eye(3), default_weight_prior(3))
+
+
+def _python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLapackLoader:
+    """``model`` loads ``dpotrf``/``dpotrs`` from scipy's ``_flapack`` file,
+    so that ``import crowdreg`` runs without ``scipy.linalg``."""
+
+    @staticmethod
+    def assert_same_bits(dpotrf, dpotrs):
+        from scipy.linalg import lapack
+        rng = np.random.default_rng(11)
+        spd = []
+        for d in (1, 3, 8):
+            a = rng.normal(size=(d, d))
+            spd.append(a @ a.T + 0.1 * np.eye(d))
+        for prec in spd + [np.array([[1.0, 2.0], [2.0, 1.0]])]:
+            factor, info = dpotrf(prec, lower=1, clean=0)
+            ref_factor, ref_info = lapack.dpotrf(prec, lower=1, clean=0)
+            assert info == ref_info
+            assert factor.tobytes() == ref_factor.tobytes()
+            if info == 0:
+                b = rng.normal(size=(len(prec), 2))
+                sol, info = dpotrs(factor, b, lower=1)
+                ref_sol, ref_info = lapack.dpotrs(ref_factor, b, lower=1)
+                assert info == ref_info == 0
+                assert sol.tobytes() == ref_sol.tobytes()
+        assert ref_info > 0  # the last matrix is not positive definite
+
+    def test_import_leaves_scipy_linalg_and_spatial_out(self):
+        out = _python("import sys, crowdreg; print(sorted(m for m in "
+                      "sys.modules if m.startswith(('scipy.linalg', "
+                      "'scipy.spatial'))))")
+        assert out.strip() == "[]"
+
+    def test_scipy_linalg_imports_after_crowdreg(self):
+        out = _python(
+            "import sys, crowdreg, scipy.linalg\n"
+            "from scipy.linalg import lapack\n"
+            "assert sys.modules['scipy.linalg._flapack'] is "
+            "scipy.linalg._flapack\n"
+            "assert crowdreg.model.dpotrf is lapack.dpotrf\n"
+            "assert crowdreg.model.dpotrs is lapack.dpotrs\n"
+            "factor = scipy.linalg.cho_factor([[4.0, 2.0], [2.0, 2.0]])\n"
+            "print(scipy.linalg.cho_solve(factor, [2.0, 0.0]).tolist())\n")
+        assert out.strip() == "[1.0, -1.0]"
+
+    def test_crowdreg_after_scipy_linalg_keeps_its_module(self):
+        _python("import sys, scipy.linalg\n"
+                "from scipy.linalg import lapack\n"
+                "flapack = sys.modules['scipy.linalg._flapack']\n"
+                "import crowdreg\n"
+                "assert sys.modules['scipy.linalg._flapack'] is flapack\n"
+                "assert crowdreg.model.dpotrf is lapack.dpotrf\n")
+
+    def test_file_loaded_routines_match_scipy_bits(self, monkeypatch):
+        loaded = []
+        spec_from_file = importlib.util.spec_from_file_location
+        monkeypatch.setattr(
+            importlib.util, "spec_from_file_location",
+            lambda name, path: loaded.append(path) or spec_from_file(name,
+                                                                     path))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack",
+                            raising=False)
+        self.assert_same_bits(*model._lapack_routines())
+        assert len(loaded) == 1 and "_flapack" in loaded[0]
+
+    @pytest.mark.parametrize("content", [None, b"not an extension module"],
+                             ids=["missing", "unloadable"])
+    def test_public_import_when_the_file_fails(self, monkeypatch, tmp_path,
+                                               content):
+        (tmp_path / "linalg").mkdir()
+        if content is not None:
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(content)
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None,
+                                                    is_package=True)
+        scipy_spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, package=None: scipy_spec)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack",
+                            raising=False)
+        self.assert_same_bits(*model._lapack_routines())

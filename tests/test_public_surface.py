@@ -118,6 +118,17 @@ BOUNDARY_ROWS = [
     (crowdreg.label_value,
      dict(profile=_WORKER, true_value=1.0, effort=1.0, noise=0.5),
      "noise", "a"),
+    # unequal shapes are not broadcast into a grid of labels
+    (crowdreg.label_value,
+     dict(profile=_WORKER, true_value=np.ones((2, 1)), effort=1.0,
+          noise=np.ones((2, 1))),
+     "noise", np.ones(3)),
+    (crowdreg.label_value,
+     dict(profile=_WORKER, true_value=1.0, effort=1.0, noise=0.5),
+     "true_value", ["a"]),
+    (crowdreg.CostFunction("linear", (1.0,)).__call__, dict(effort=1.0),
+     "effort", "a"),
+    (crowdreg.payment, dict(beta_hat=1.0, scheme=_SCHEME), "beta_hat", "a"),
     # a count is an integer >= 0: a fraction is not truncated to one
     (crowdreg.RegretLedger, dict(gaps=[0.0, 1.0], pulls=[0, 1]), "pulls",
      [0.5, 1.7]),
