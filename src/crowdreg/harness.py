@@ -23,7 +23,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bandit as bd
-from .crowd import AnnotatorProfile, label_value, make_annotators
+# _setup draws its answers without label_value; the name stays here, where
+# perfbench's tracer wraps it
+from .crowd import AnnotatorProfile, label_value, make_annotators  # noqa: F401
 from .errors import DataFormatError, InvalidInputError, _is_int, _is_real
 from .features import (TransformSpec, apply_normalization, fit_centers,
                        normalize, transform)
@@ -401,13 +403,12 @@ def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12):
     return X, y
 
 
-def _fit_block(instances, answers, columns, priors):
-    """``(dataset, weights, precisions)``: every annotator's answers on the
-    pool rows ``columns``, passed as the block form of a dataset over
-    ``instances``, and its fit under ``priors``, a (weight prior, precision
-    priors) pair, at the fit's defaults."""
-    dataset = CrowdDataset(instances, columns, None, answers[:, columns],
-                           answers.shape[0])
+def _fit_block(instances, columns, block, priors):
+    """``(dataset, weights, precisions)``: the block form of a dataset over
+    ``instances``, in which ``block[j, c]`` is annotator ``j``'s answer on
+    row ``columns[c]``, and its fit under ``priors``, a (weight prior,
+    precision priors) pair, at the fit's defaults."""
+    dataset = CrowdDataset(instances, columns, None, block, block.shape[0])
     return dataset, *fit_variational(dataset, *priors)[:2]
 
 
@@ -433,7 +434,8 @@ def _choose_scale(config, rep_seed, features, centers, seed_answers, priors):
     for s in config.s_grid:
         spec = TransformSpec(centers, s)
         phi = transform(features[:k], spec)
-        weights = _fit_block(phi, seed_answers, train_idx, priors)[1]
+        weights = _fit_block(phi, train_idx, seed_answers[:, train_idx],
+                             priors)[1]
         err = rmse(phi[val_idx] @ weights.mean, val_target)
         if err < best_err:
             best_s, best_err = s, err
@@ -475,15 +477,19 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
 
     ``answers[j, i]`` is the true value of pool row ``i`` plus
     ``default_rng([rep_seed, _LABEL, j]).standard_normal(n_pool)[i]`` scaled
-    to annotator ``j``'s effort.  So a label depends only on (rep_seed,
-    annotator, pool row), whichever strategy asks for it and in whatever
-    order.
+    to annotator ``j``'s effort, bit for bit what ``label_value`` gives.  So
+    a label depends only on (rep_seed, annotator, pool row), whichever
+    strategy asks for it and in whatever order.  The answers are drawn in
+    place: each row's noise straight into the m x n_pool matrix, from the
+    generator that ``default_rng`` would build but seeded with the words of
+    ``[rep_seed, _LABEL, j]`` (see ``_seed_words``), then scaled and shifted
+    as one matrix.
 
     The seed dataset is the block form of ``CrowdDataset`` with the columns
-    ``arange(k)`` and the block ``answers[:, :k]``.  The answers come first: a
-    grid-searched sigmoid scale needs them.  The priors are built once, at
-    the pool's width, which the sigmoid transform keeps (k-means fits one
-    center per feature).
+    ``arange(k)`` and the block ``answers[:, :k]``, passed as a view.  The
+    answers come first: a grid-searched sigmoid scale needs them.  The
+    priors are built once, at the pool's width, which the sigmoid transform
+    keeps (k-means fits one center per feature).
     """
     X, z = data
     n, d = X.shape
@@ -506,10 +512,13 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
     priors = (default_weight_prior(d), default_precision_priors(m))
     efforts = np.array([p.best_precision for p in profiles])
     answers = np.empty((m, pool_idx.size))
-    for j, profile in enumerate(profiles):
-        noise = np.random.default_rng([rep_seed, _LABEL, j]).standard_normal(
-            pool_idx.size)
-        answers[j] = label_value(profile, pool_z, efforts[j], noise)
+    head = _seed_words(rep_seed) + _seed_words(_LABEL)
+    for j in range(m):
+        words = np.array(head + _seed_words(j), np.uint32)
+        bits = np.random.PCG64(np.random.SeedSequence(words))
+        np.random.Generator(bits).standard_normal(out=answers[j])
+    answers *= (1.0 / np.sqrt(efforts))[:, None]
+    answers += pool_z
     seed_answers = answers[:, :k]
 
     pool_phi, test_phi = pool_norm, test_norm
@@ -519,10 +528,18 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
                           priors)
         spec = TransformSpec(centers, s)
         pool_phi, test_phi = transform(pool_norm, spec), transform(test_norm, spec)
-    seed_fit = _fit_block(pool_phi, answers, np.arange(seed_answers.shape[1]),
-                          priors)
+    seed_fit = _fit_block(pool_phi, np.arange(seed_answers.shape[1]),
+                          seed_answers, priors)
     return _Repetition(test_phi, test_z, pool_idx, answers, efforts, priors,
                        *seed_fit)
+
+
+def _seed_words(value: int) -> list[int]:
+    """The 32-bit words, least significant first, into which numpy's
+    ``SeedSequence`` splits a seed integer >= 0 (``[0]`` for 0)."""
+    value = int(value)  # a numpy integer has no bit_length
+    return [value >> s & 0xFFFFFFFF
+            for s in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _sigmoid_centers(pool, seed):

@@ -229,7 +229,10 @@ class CrowdDataset:
     ``annotators = repeat(arange(b), k)`` and ``values = block.ravel()`` of
     a (b, k) block, and its vectors read so.  It is checked as a whole:
     between 1 and ``num_annotators`` annotators, at least one column, the
-    columns distinct integers in ``[0, n)`` and the answers finite.  A block
+    columns distinct integers in ``[0, n)`` and the answers finite.  A valid
+    block keeps read-only copies of its columns and of its answers, the
+    latter C-ordered with ``values`` its ravel, and builds ``rows`` and
+    ``annotators`` on their first read, which a fit never makes.  A block
     that fails is checked label by label, so the error is the one that the
     flat form gives for the same labels; a block that is not 2-D fails on
     its own.
@@ -270,22 +273,35 @@ class CrowdDataset:
             if not _is_valid_block(columns, block, n, m):
                 labels = (np.tile(columns, b), np.repeat(np.arange(b), k),
                           block.ravel())
-            else:  # one cast copy each: built by tile and repeat, these
-                # arrays made glibc trim and re-fault the heap on every build
-                labels = [np.broadcast_to(v, (b, k)).astype(t, order="C")
-                          for v, t in ((columns, np.intp),
-                                       (np.arange(b)[:, None], np.intp),
-                                       (block, float))]
-                for v in labels:
-                    v.setflags(write=False)
-                runs = [(0, columns, labels[2])]
-                labels = [v.ravel() for v in labels]
+            else:  # one value copy; rows and annotators wait for a read
+                columns = _frozen_array(columns, np.intp)
+                block = block.astype(float, order="C")
+                block.setflags(write=False)
+                runs = [(0, columns, block)]
+                del self.__dict__["rows"], self.__dict__["annotators"]
+                self.__dict__.update(values=block.ravel(), _block=(columns, b))
         if runs is None:
             labels = _checked_labels(*labels, n, m)
             runs = _annotator_runs(*labels)
-        self.__dict__.update(zip(
-            ("instances", "rows", "annotators", "values", "num_annotators",
-             "_suffstats"), (inst, *labels, m, _statistics(inst, runs, m))))
+            self.__dict__.update(zip(("rows", "annotators", "values"), labels))
+        self.__dict__.update(instances=inst, num_annotators=m,
+                             _suffstats=_statistics(inst, runs, m))
+
+    def __getattr__(self, name):
+        """A valid block's ``rows`` and ``annotators``, built on first read
+        and kept: a fit reads neither."""
+        block = self.__dict__.get("_block")
+        if block is None or name not in ("rows", "annotators"):
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        columns, b = block
+        labels = {"rows": np.tile(columns, b),
+                  "annotators": np.repeat(np.arange(b, dtype=np.intp),
+                                          columns.size)}
+        for v in labels.values():
+            v.setflags(write=False)
+        self.__dict__.update(labels)
+        return labels[name]
 
     @property
     def n(self) -> int:

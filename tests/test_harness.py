@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdreg import (
+    AnnotatorProfile,
     DataFormatError,
     ExperimentConfig,
     InvalidInputError,
     emit_records,
     full_fit,
+    label_value,
     load_csv,
     rmse,
     run_experiment,
@@ -608,6 +611,63 @@ class TestFullFit:
         assert [s.hex() for s in full_fit(cfg)] == [
             "0x1.e4a3ea4c4df7dp+2", "0x1.e447a7a5e1e02p+2",
             "0x1.08af4443cc757p+3"]
+
+    # seeds of one, two and three 32-bit words, each word boundary included
+    @pytest.mark.parametrize("rep_seed", [0, 3, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("k", [None, 10])
+    def test_answers_are_label_value_on_the_default_rng_stream(self, rep_seed,
+                                                               k):
+        # the answers, drawn in place, are label_value's on the noise of
+        # default_rng([rep_seed, _LABEL, j]) to the bit, and the seed block
+        # holds their first k columns
+        config = ExperimentConfig()
+        data = harness._load_data(config)
+        setup = harness._setup(config, data, rep_seed, k)
+        pool_z = data[1][setup.pool_idx]
+        assert setup.answers.shape == (config.num_annotators, pool_z.size)
+        for j, effort in enumerate(setup.efforts):
+            noise = np.random.default_rng(
+                [rep_seed, harness._LABEL, j]).standard_normal(pool_z.size)
+            want = label_value(AnnotatorProfile(effort), pool_z, effort, noise)
+            assert setup.answers[j].tobytes() == want.tobytes()
+        block = setup.answers[:, :k]
+        assert setup.dataset.values.tobytes() == block.tobytes()
+
+    def test_full_fit_never_builds_the_block_label_vectors(self,
+                                                          monkeypatch):
+        # a fit reads the block's values and statistics only: its rows and
+        # annotators vectors are never built, in the scale search either
+        built, construct = [], harness.CrowdDataset
+
+        def spy_build(*args):
+            built.append(construct(*args))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "CrowdDataset", spy_build)
+        full_fit(ExperimentConfig(repetitions=1))
+        full_fit(ExperimentConfig(repetitions=1, transform="sigmoid",
+                                  s_grid=(0.5, 1.0, 2.0), num_annotators=8,
+                                  num_good=6))
+        assert len(built) == 1 + 3 + 1  # fit, grid and fit
+        for ds in built:
+            assert not {"rows", "annotators"} & set(vars(ds))
+
+    def test_peak_allocation_stays_under_five_answer_matrices(self):
+        # one default full_fit after a warm-up holds the answer matrix, the
+        # dataset's one copy of it and the fit's small arrays: about 3.9
+        # matrices.  Each further matrix-sized array on this path is freed
+        # within the op, and glibc may trim and re-fault it on every op
+        config = ExperimentConfig(repetitions=1)
+        matrix = harness._setup(config, harness._load_data(config),
+                                config.base_seed, None).answers.nbytes
+        full_fit(config)
+        tracemalloc.start()
+        try:
+            full_fit(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * matrix
 
 
 @settings(max_examples=25, deadline=None)

@@ -104,13 +104,25 @@ class TestCrowdDataset:
 
     def test_block_form_holds_the_block_as_label_vectors(self):
         # block[j, c] is annotator j's answer on row columns[c]; a block may
-        # have fewer rows than there are annotators
-        X = np.arange(8.0).reshape(4, 2)
-        ds = CrowdDataset(X, [3, 0], None, [[1.0, 2.0], [3.0, 4.0]], 3)
-        assert ds.rows.tolist() == [3, 0, 3, 0]
-        assert ds.annotators.tolist() == [0, 0, 1, 1]
+        # have fewer rows than there are annotators.  A valid block keeps
+        # copies of its columns and answers, and builds its rows and
+        # annotators on their first read, as read-only intp vectors it keeps
+        X, columns = np.arange(8.0).reshape(4, 2), np.array([3, 0])
+        block = np.array([[1.0, 2.0], [3.0, 4.0]])
+        ds = CrowdDataset(X, columns, None, block, 3)
+        columns[0], block[0, 0] = 1, 9.0
+        assert not {"rows", "annotators"} & set(vars(ds))
+        rows, annotators = ds.rows, ds.annotators
+        assert rows.tolist() == [3, 0, 3, 0]
+        assert annotators.tolist() == [0, 0, 1, 1]
         assert ds.values.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert ds.label_counts.tolist() == [2, 2, 0]
+        assert rows.dtype == annotators.dtype == np.intp
+        for v in (rows, annotators, ds.values):
+            assert not v.flags.writeable
+        assert ds.rows is rows and ds.annotators is annotators
+        with pytest.raises(AttributeError, match="'_columns'"):
+            ds._columns
 
     @pytest.mark.parametrize("block", [[1.0, 2.0], [[[1.0, 2.0]]], 1.0])
     def test_block_form_needs_a_two_dimensional_block(self, block):

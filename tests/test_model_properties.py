@@ -314,6 +314,34 @@ def test_statistics_equal_per_annotator_accumulation_to_the_bit(problem):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@PROPERTY
+@given(block_problems(min_size=1), st.data())
+def test_a_block_grows_as_its_labels_do_flat(problem, data):
+    # a valid block builds its rows and annotators only when read (their
+    # bits: the test above); one label added to a block that has built
+    # neither, new or a repeat, gives the flat form's vectors and
+    # statistics, or its error
+    X, m, labels, (columns, block) = problem
+    built = CrowdDataset(X, columns, None, block, m)
+    assert not {"rows", "annotators"} & set(vars(built))
+    i = data.draw(st.integers(0, X.shape[0] - 1))
+    j = data.draw(st.integers(0, m - 1))
+    grown = []
+    for ds in (built, CrowdDataset(X, *labels, m)):
+        try:
+            grown.append(ds.with_label(i, j, 1.5))
+        except InvalidInputError as exc:
+            grown.append(str(exc))
+    if isinstance(grown[1], str):
+        assert grown[0] == grown[1]
+        return
+    for name in ("rows", "annotators", "values"):
+        got, ref = getattr(grown[0], name), getattr(grown[1], name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    for a, b in zip(grown[0]._suffstats, grown[1]._suffstats):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 BLOCK_FAULTS = ["column past the end", "negative column", "repeated column",
                 "non-finite answer", "float columns", "bool columns",
                 "an annotator too many", "a column too few",
