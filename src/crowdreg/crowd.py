@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInputError, _finite_array, _float_array, _integer,
-                     _positive)
+                     _positive, _seed)
 from .mechanism import PaymentScheme, utility
 
 __all__ = [
@@ -104,7 +104,7 @@ def make_annotators(m, good, interval_good, interval_bad, seed):
                            ("interval_bad", interval_bad)):
         if _positive(lo, name) > _positive(hi, name):
             raise InvalidInputError(f"{name} [{lo}, {hi}] needs lo <= hi")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     sd = np.concatenate([
         rng.uniform(interval_good[0], interval_good[1], size=good),
         rng.uniform(interval_bad[0], interval_bad[1], size=m - good),

@@ -60,6 +60,23 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _seed(value):
+    """``value``, the argument ``seed``, as a generator seed: an integer >= 0
+    as an ``int``, or a list, tuple or 1-d array of them as a list of
+    ``int``.  ``None``, which would seed from the operating system, is
+    rejected, so a seeded result is always reproducible."""
+    if _is_int(value) and value >= 0:
+        return int(value)
+    words = value
+    if isinstance(words, np.ndarray) and words.ndim == 1:
+        words = words.tolist()
+    if (isinstance(words, (list, tuple))
+            and all(_is_int(v) and v >= 0 for v in words)):
+        return [int(v) for v in words]
+    raise InvalidInputError(f"seed must be an integer >= 0 or a sequence of "
+                            f"them, got {value!r}")
+
+
 def _positive(value, name: str) -> float:
     """``value`` as a ``float``, finite and > 0."""
     if not (_is_real(value) and 0 < value < math.inf):

@@ -8,7 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, _finite_array, _integer, _positive
+from .errors import (InvalidInputError, _finite_array, _integer, _positive,
+                     _seed)
 
 __all__ = [
     "TransformSpec",
@@ -163,6 +164,7 @@ def fit_centers(X, k: int, seed) -> np.ndarray:
     whatever the BLAS kernel; see ``_lloyd``.
     """
     X = _finite_array(X, "X", 2)
+    seed = _seed(seed)
     if X.shape[0] < 1:
         raise InvalidInputError("X must hold a row")
     distinct = np.unique(X, axis=0)

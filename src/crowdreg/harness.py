@@ -15,6 +15,7 @@ configuration produce byte-identical record files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from array import array
@@ -26,7 +27,8 @@ from . import bandit as bd
 # _setup draws its answers without label_value; the name stays here, where
 # perfbench's tracer wraps it
 from .crowd import AnnotatorProfile, label_value, make_annotators  # noqa: F401
-from .errors import DataFormatError, InvalidInputError, _is_int, _is_real
+from .errors import (DataFormatError, InvalidInputError, _integer, _is_int,
+                     _is_real, _seed)
 from .features import (TransformSpec, apply_normalization, fit_centers,
                        normalize, transform)
 from .mechanism import PaymentScheme, settle
@@ -392,7 +394,8 @@ def synthetic_housing_like(seed: int = 0, n: int = 506, d: int = 12):
     dataset's irreducible error, so the spread and the attainable accuracy are
     both realistic.  Used whenever no data file is supplied.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
+    n, d = _integer(n, "n", 1), _integer(d, "d", 1)
     centers = rng.uniform(-3.0, 3.0, size=(6, d))
     assign = rng.integers(6, size=n)
     X = centers[assign] + rng.normal(0.0, 1.0, size=(n, d))
@@ -480,10 +483,12 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
     to annotator ``j``'s effort, bit for bit what ``label_value`` gives.  So
     a label depends only on (rep_seed, annotator, pool row), whichever
     strategy asks for it and in whatever order.  The answers are drawn in
-    place: each row's noise straight into the m x n_pool matrix, from the
-    generator that ``default_rng`` would build but seeded with the words of
-    ``[rep_seed, _LABEL, j]`` (see ``_seed_words``), then scaled and shifted
-    as one matrix.
+    place by ``_draw_streams``: all m streams are seeded in one vectorized
+    pass of numpy's ``SeedSequence`` hash and ``PCG64`` seeding, which NEP
+    19 keeps fixed across numpy versions, and each row's noise goes from one
+    reused generator straight into the m x n_pool matrix, which is then
+    scaled and shifted once.  ``tests/test_harness.py`` checks the seeded
+    states against ``default_rng``'s on every CI leg.
 
     The seed dataset is the block form of ``CrowdDataset`` with the columns
     ``arange(k)`` and the block ``answers[:, :k]``, passed as a view.  The
@@ -512,11 +517,7 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
     priors = (default_weight_prior(d), default_precision_priors(m))
     efforts = np.array([p.best_precision for p in profiles])
     answers = np.empty((m, pool_idx.size))
-    head = _seed_words(rep_seed) + _seed_words(_LABEL)
-    for j in range(m):
-        words = np.array(head + _seed_words(j), np.uint32)
-        bits = np.random.PCG64(np.random.SeedSequence(words))
-        np.random.Generator(bits).standard_normal(out=answers[j])
+    _draw_streams(answers, _seed_words(rep_seed) + _seed_words(_LABEL))
     answers *= (1.0 / np.sqrt(efforts))[:, None]
     answers += pool_z
     seed_answers = answers[:, :k]
@@ -540,6 +541,121 @@ def _seed_words(value: int) -> list[int]:
     value = int(value)  # a numpy integer has no bit_length
     return [value >> s & 0xFFFFFFFF
             for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+# numpy's SeedSequence hashes a seed's words into a pool of 4 words with
+# these constants, and PCG64 seeds its 128-bit LCG from the first four
+# 64-bit words the pool generates.  NEP 19 keeps both recipes fixed.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# row s: the other pool words, which pool word s is mixed into (an index
+# array indexes faster than a list)
+_OTHERS = np.array([[d for d in range(4) if d != s] for s in range(4)])
+
+
+@functools.lru_cache(maxsize=8)
+def _hash_constants(init, mult, n):
+    """SeedSequence's first ``n`` hash constants, ``init * mult**i`` mod
+    2**32, as a read-only (n, 1) uint32 column."""
+    column = np.empty((n, 1), np.uint32)
+    value = init
+    for i in range(n):
+        column[i] = value
+        value = value * mult & 0xFFFFFFFF
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(value, constants):
+    """SeedSequence's ``hashmix`` of ``value`` under each of the consecutive
+    hash ``constants`` but the last, one row per constant: ``value`` xor
+    the constant, times the next one, xor-shifted."""
+    value = value ^ constants[:-1]
+    value *= constants[1:]
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two uint32 arrays; overwrites both."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _stream_states(head, keys) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``default_rng(head + [key]).bit_generator`` for
+    each key, where ``head`` holds 32-bit seed words (``_seed_words``) and
+    ``keys`` integers in [0, 2**64).
+
+    SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)`` run on
+    every key at once, one column per key, in uint32 arrays whose every
+    operand is uint32, so they wrap mod 2**32 under numpy 1.x's value-based
+    casting and NEP 50 alike.  The hash constants do not depend on the
+    words, so every column uses the same ones.  A key >= 2**32 adds a word
+    to its seed: a word past the pool of 4 is mixed in only where a seed
+    holds it, and a seed shorter than 4 words is padded with zeros, as
+    SeedSequence pads it.  Only PCG64's 128-bit seeding, ``inc = 2 initseq
+    + 1`` and ``state = (inc + initstate) MULT + inc`` mod 2**128, runs per
+    key, on Python ints.
+    """
+    keys = np.asarray(keys, np.uint64)
+    words = np.zeros((max(len(head) + 2, 4), keys.size), np.uint32)
+    words[:len(head)] = np.array(head, np.uint32)[:, None]
+    words[len(head)] = keys  # the low words: a cast keeps the low 32 bits
+    words[len(head) + 1] = keys >> np.uint64(32)
+    lengths = len(head) + 1 + (words[len(head) + 1] != 0)
+    # 4 hashmixes fill the pool, 12 mix each word into the 3 others, and 4
+    # mix each further word into the pool
+    consts = _hash_constants(_INIT_A, _MULT_A, 17 + 4 * (len(words) - 4))
+    pool = _hashmix(words[:4], consts[:5])
+    for src, dst in enumerate(_OTHERS):
+        k = 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + 4]))
+    for src in range(4, len(words)):
+        k = 16 + 4 * (src - 4)
+        mixed = _mix(pool.copy(), _hashmix(words[src], consts[k:k + 5]))
+        pool = np.where(lengths > src, mixed, pool)
+    # generate_state hashes the pool twice over into 8 words, which numpy
+    # pairs little-endian into initstate's high and low words, then
+    # initseq's
+    out = _hashmix(np.concatenate([pool, pool]),
+                   _hash_constants(_INIT_B, _MULT_B, 9))
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in (
+            out.T.astype("<u4", order="C").view("<u8").tolist()):
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        initstate = s_hi << 64 | s_lo
+        states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128,
+                       inc))
+    return states
+
+
+def _draw_streams(out, head) -> None:
+    """Fill row ``j`` of the float matrix ``out`` in place with
+    ``default_rng(head + [j]).standard_normal(out.shape[1])``, bit for bit.
+
+    One ``PCG64`` and one ``Generator`` serve every row: each row sets the
+    state that ``_stream_states`` computed, then draws.  ``numpy.random``
+    is reached only here, at call time, so ``import crowdreg`` does not
+    import it.
+    """
+    bits = np.random.PCG64(0)  # seeded only to skip reading OS entropy
+    draw = np.random.Generator(bits).standard_normal
+    seeded = {}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0,
+             "uinteger": 0}
+    for (lcg, inc), row in zip(_stream_states(head, np.arange(len(out))),
+                               out):
+        seeded["state"], seeded["inc"] = lcg, inc
+        bits.state = state  # the setter copies the values it reads
+        draw(out=row)
 
 
 def _sigmoid_centers(pool, seed):

@@ -31,6 +31,20 @@ class TestMakeAnnotators:
         b = make_annotators(10, 7, (0.1, 1.0), (1.0, 2.0), seed=9)
         assert [p.best_precision for p in a] == [p.best_precision for p in b]
 
+    def test_every_seed_form_draws_the_same_population(self):
+        # a seed's integers may be Python or numpy ones, in a list, a tuple
+        # or an array: each gives default_rng's stream for the same words
+        populations = [
+            [p.best_precision for p in make_annotators(
+                6, 3, (0.1, 1.0), (1.0, 2.0), seed=seed)]
+            for seed in ([4, 2], (4, 2), np.array([4, 2]),
+                         [np.uint32(4), np.int64(2)])]
+        assert all(p == populations[0] for p in populations)
+        assert ([p.best_precision for p in make_annotators(
+                    6, 3, (0.1, 1.0), (1.0, 2.0), seed=np.uint64(7))]
+                == [p.best_precision for p in make_annotators(
+                    6, 3, (0.1, 1.0), (1.0, 2.0), seed=7)])
+
     def test_invalid_interval(self):
         with pytest.raises(InvalidInputError):
             make_annotators(3, 1, (0.0, 1.0), (1.0, 2.0), seed=0)

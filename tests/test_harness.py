@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdreg import (
@@ -668,6 +668,30 @@ class TestFullFit:
         finally:
             tracemalloc.stop()
         assert peak < 5 * matrix
+
+
+# a rep_seed of 1, 2 or 3 words, and stream keys around 2**32, where a key
+# gains its second word, or anywhere below 2**64
+@settings(max_examples=60, deadline=None)
+@given(rep_seed=st.integers(1, 3).flatmap(
+           lambda w: st.integers(2**(32 * w - 32) if w > 1 else 0,
+                                 2**(32 * w) - 1)),
+       keys=st.lists(st.integers(2**32 - 2, 2**32 + 1)
+                     | st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+@example(rep_seed=2**32, keys=[2**32 - 1, 2**32, 0])  # 4 words and 5
+@example(rep_seed=2**64 + 3, keys=[2**32, 7])  # 6 words and 5
+def test_stream_states_are_default_rng_seedings(rep_seed, keys):
+    # the vectorized SeedSequence hash and PCG64 seeding give each key the
+    # generator state of default_rng([rep_seed, _LABEL, key]), whatever the
+    # word counts of the keys beside it
+    head = harness._seed_words(rep_seed) + [harness._LABEL]
+    states = harness._stream_states(head, keys)
+    assert len(states) == len(keys)
+    for key, (state, inc) in zip(keys, states):
+        want = np.random.default_rng([rep_seed, harness._LABEL, key])
+        assert want.bit_generator.state == {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 @settings(max_examples=25, deadline=None)

@@ -87,6 +87,10 @@ _SCHEME = crowdreg.PaymentScheme(1.0, 1.0, 2.0)
 _WORKER = crowdreg.AnnotatorProfile(4.0,
                                     crowdreg.CostFunction("linear", (1.0,)))
 _WITH_NAN = [[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]
+_HOUSING = dict(seed=0, n=20, d=2)
+# a seed is an integer >= 0 or a sequence of them: numpy would raise its own
+# error on the first three, read True as 1 and seed None from the system
+_BAD_SEEDS = [-1, 1.5, "a", True, None, [3, -1]]
 
 BOUNDARY_ROWS = [
     (crowdreg.fit_variational, _FIT, "max_sweeps", 1.5),
@@ -176,6 +180,14 @@ BOUNDARY_ROWS = [
     (crowdreg.det_shrinkage,
      dict(weights=crowdreg.default_weight_prior(2), x=[1.0, 0.0], beta=1.0),
      "beta", np.inf),
+    *[(call, valid, "seed", bad)
+      for call, valid in ((crowdreg.make_annotators, _POPULATION),
+                          (crowdreg.fit_centers, dict(X=_POINTS, k=2, seed=0)),
+                          (crowdreg.synthetic_housing_like, _HOUSING))
+      for bad in _BAD_SEEDS],
+    # numpy would fail on a fraction, and X on an empty draw, naming neither
+    *[(crowdreg.synthetic_housing_like, _HOUSING, name, bad)
+      for name in ("n", "d") for bad in (2.5, True, 0)],
 ]
 
 
