@@ -24,9 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import bandit as bd
-# _setup draws its answers without label_value; the name stays here, where
-# perfbench's tracer wraps it
-from .crowd import AnnotatorProfile, label_value, make_annotators  # noqa: F401
+from .crowd import AnnotatorProfile, _answers, make_annotators
 from .errors import (DataFormatError, InvalidInputError, _integer, _is_int,
                      _is_real, _seed)
 from .features import (TransformSpec, apply_normalization, fit_centers,
@@ -198,7 +196,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 values = json.load(fh)
             except UnicodeDecodeError as exc:
@@ -220,21 +218,27 @@ class ExperimentConfig:
 
     def scheme(self) -> PaymentScheme:
         """Payment band; defaults bracket the configured noise intervals:
-        1 / interval_bad[1]^2 below and 1 / interval_good[0]^2 above."""
-        lower = self.beta_lower
-        upper = self.beta_upper
+        1 / interval_bad[1]^2 below and 1 / interval_good[0]^2 above.  An
+        empty band is reported against beta_lower, naming where each end
+        comes from."""
+        lower, upper = self.beta_lower, self.beta_upper
+        origins = ["config key 'beta_lower'", "config key 'beta_upper'"]
         if lower is None:
             lower = _derived("interval_bad", self.interval_bad,
                              "the band end 1 / hi^2",
                              lambda: 1.0 / self.interval_bad[1] ** 2)
+            origins[0] = "1 / hi^2 of config key 'interval_bad'"
         if upper is None:
             upper = _derived("interval_good", self.interval_good,
                              "the band end 1 / lo^2",
                              lambda: 1.0 / self.interval_good[0] ** 2)
-        try:
-            return PaymentScheme(self.payment_budget, lower, upper)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"config key 'beta_lower': {exc}") from None
+            origins[1] = "1 / lo^2 of config key 'interval_good'"
+        if not lower < upper:
+            raise InvalidInputError(
+                f"config key 'beta_lower': need beta_lower < beta_upper, got "
+                f"beta_lower {lower!r} ({origins[0]}) and beta_upper "
+                f"{upper!r} ({origins[1]})")
+        return PaymentScheme(self.payment_budget, lower, upper)
 
 
 def _derived(key, interval, what, compute) -> float:
@@ -478,17 +482,10 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
     ``k`` pool rows (all of them when ``k`` is None) with every annotator,
     transform the features and fit.
 
-    ``answers[j, i]`` is the true value of pool row ``i`` plus
-    ``default_rng([rep_seed, _LABEL, j]).standard_normal(n_pool)[i]`` scaled
-    to annotator ``j``'s effort, bit for bit what ``label_value`` gives.  So
-    a label depends only on (rep_seed, annotator, pool row), whichever
-    strategy asks for it and in whatever order.  The answers are drawn in
-    place by ``_draw_streams``: all m streams are seeded in one vectorized
-    pass of numpy's ``SeedSequence`` hash and ``PCG64`` seeding, which NEP
-    19 keeps fixed across numpy versions, and each row's noise goes from one
-    reused generator straight into the m x n_pool matrix, which is then
-    scaled and shifted once.  ``tests/test_harness.py`` checks the seeded
-    states against ``default_rng``'s on every CI leg.
+    ``answers`` is ``crowd._answers`` on the pool's true values under the
+    seed ``[rep_seed, _LABEL]``, so a label depends only on (rep_seed,
+    annotator, pool row), whichever strategy asks for it and in whatever
+    order.
 
     The seed dataset is the block form of ``CrowdDataset`` with the columns
     ``arange(k)`` and the block ``answers[:, :k]``, passed as a view.  The
@@ -516,10 +513,7 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
     m = len(profiles)
     priors = (default_weight_prior(d), default_precision_priors(m))
     efforts = np.array([p.best_precision for p in profiles])
-    answers = np.empty((m, pool_idx.size))
-    _draw_streams(answers, _seed_words(rep_seed) + _seed_words(_LABEL))
-    answers *= (1.0 / np.sqrt(efforts))[:, None]
-    answers += pool_z
+    answers = _answers(efforts, pool_z, [rep_seed, _LABEL])
     seed_answers = answers[:, :k]
 
     pool_phi, test_phi = pool_norm, test_norm
@@ -533,129 +527,6 @@ def _setup(config, data, rep_seed, k) -> _Repetition:
                           seed_answers, priors)
     return _Repetition(test_phi, test_z, pool_idx, answers, efforts, priors,
                        *seed_fit)
-
-
-def _seed_words(value: int) -> list[int]:
-    """The 32-bit words, least significant first, into which numpy's
-    ``SeedSequence`` splits a seed integer >= 0 (``[0]`` for 0)."""
-    value = int(value)  # a numpy integer has no bit_length
-    return [value >> s & 0xFFFFFFFF
-            for s in range(0, max(value.bit_length(), 1), 32)]
-
-
-# numpy's SeedSequence hashes a seed's words into a pool of 4 words with
-# these constants, and PCG64 seeds its 128-bit LCG from the first four
-# 64-bit words the pool generates.  NEP 19 keeps both recipes fixed.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-# row s: the other pool words, which pool word s is mixed into (an index
-# array indexes faster than a list)
-_OTHERS = np.array([[d for d in range(4) if d != s] for s in range(4)])
-
-
-@functools.lru_cache(maxsize=8)
-def _hash_constants(init, mult, n):
-    """SeedSequence's first ``n`` hash constants, ``init * mult**i`` mod
-    2**32, as a read-only (n, 1) uint32 column."""
-    column = np.empty((n, 1), np.uint32)
-    value = init
-    for i in range(n):
-        column[i] = value
-        value = value * mult & 0xFFFFFFFF
-    column.flags.writeable = False
-    return column
-
-
-def _hashmix(value, constants):
-    """SeedSequence's ``hashmix`` of ``value`` under each of the consecutive
-    hash ``constants`` but the last, one row per constant: ``value`` xor
-    the constant, times the next one, xor-shifted."""
-    value = value ^ constants[:-1]
-    value *= constants[1:]
-    value ^= value >> _XSHIFT
-    return value
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two uint32 arrays; overwrites both."""
-    x *= _MIX_L
-    y *= _MIX_R
-    x -= y
-    x ^= x >> _XSHIFT
-    return x
-
-
-def _stream_states(head, keys) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``default_rng(head + [key]).bit_generator`` for
-    each key, where ``head`` holds 32-bit seed words (``_seed_words``) and
-    ``keys`` integers in [0, 2**64).
-
-    SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)`` run on
-    every key at once, one column per key, in uint32 arrays whose every
-    operand is uint32, so they wrap mod 2**32 under numpy 1.x's value-based
-    casting and NEP 50 alike.  The hash constants do not depend on the
-    words, so every column uses the same ones.  A key >= 2**32 adds a word
-    to its seed: a word past the pool of 4 is mixed in only where a seed
-    holds it, and a seed shorter than 4 words is padded with zeros, as
-    SeedSequence pads it.  Only PCG64's 128-bit seeding, ``inc = 2 initseq
-    + 1`` and ``state = (inc + initstate) MULT + inc`` mod 2**128, runs per
-    key, on Python ints.
-    """
-    keys = np.asarray(keys, np.uint64)
-    words = np.zeros((max(len(head) + 2, 4), keys.size), np.uint32)
-    words[:len(head)] = np.array(head, np.uint32)[:, None]
-    words[len(head)] = keys  # the low words: a cast keeps the low 32 bits
-    words[len(head) + 1] = keys >> np.uint64(32)
-    lengths = len(head) + 1 + (words[len(head) + 1] != 0)
-    # 4 hashmixes fill the pool, 12 mix each word into the 3 others, and 4
-    # mix each further word into the pool
-    consts = _hash_constants(_INIT_A, _MULT_A, 17 + 4 * (len(words) - 4))
-    pool = _hashmix(words[:4], consts[:5])
-    for src, dst in enumerate(_OTHERS):
-        k = 4 + 3 * src
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + 4]))
-    for src in range(4, len(words)):
-        k = 16 + 4 * (src - 4)
-        mixed = _mix(pool.copy(), _hashmix(words[src], consts[k:k + 5]))
-        pool = np.where(lengths > src, mixed, pool)
-    # generate_state hashes the pool twice over into 8 words, which numpy
-    # pairs little-endian into initstate's high and low words, then
-    # initseq's
-    out = _hashmix(np.concatenate([pool, pool]),
-                   _hash_constants(_INIT_B, _MULT_B, 9))
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in (
-            out.T.astype("<u4", order="C").view("<u8").tolist()):
-        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-        initstate = s_hi << 64 | s_lo
-        states.append((((inc + initstate) * _PCG64_MULT + inc) & _MASK128,
-                       inc))
-    return states
-
-
-def _draw_streams(out, head) -> None:
-    """Fill row ``j`` of the float matrix ``out`` in place with
-    ``default_rng(head + [j]).standard_normal(out.shape[1])``, bit for bit.
-
-    One ``PCG64`` and one ``Generator`` serve every row: each row sets the
-    state that ``_stream_states`` computed, then draws.  ``numpy.random``
-    is reached only here, at call time, so ``import crowdreg`` does not
-    import it.
-    """
-    bits = np.random.PCG64(0)  # seeded only to skip reading OS entropy
-    draw = np.random.Generator(bits).standard_normal
-    seeded = {}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0,
-             "uinteger": 0}
-    for (lcg, inc), row in zip(_stream_states(head, np.arange(len(out))),
-                               out):
-        seeded["state"], seeded["inc"] = lcg, inc
-        bits.state = state  # the setter copies the values it reads
-        draw(out=row)
 
 
 def _sigmoid_centers(pool, seed):
@@ -738,9 +609,17 @@ def _run_repetition(config, data, rep):
     return records
 
 
+@functools.cache
+def _builtin_data():
+    """``synthetic_housing_like()``, built once per process, read-only."""
+    X, y = synthetic_housing_like()
+    X.flags.writeable = y.flags.writeable = False
+    return X, y
+
+
 def _load_data(config):
     if config.data_path is None:
-        return synthetic_housing_like()
+        return _builtin_data()
     matrix = load_csv(config.data_path)
     if matrix.shape[0] < 2:
         raise DataFormatError(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crowdreg import (
     AnnotatorProfile,
@@ -10,6 +12,7 @@ from crowdreg import (
     make_annotators,
     optimal_effort,
 )
+from crowdreg import crowd
 
 
 class TestMakeAnnotators:
@@ -92,6 +95,10 @@ class TestSampleLabel:
         assert np.array_equal(
             label_value(profile, true_value.tolist(), 4.0, noise), expected)
 
+    def test_scalar_inputs_give_a_scalar_label(self):
+        label = label_value(AnnotatorProfile(4.0), 1.0, 4.0, 0.5)
+        assert type(label) is np.float64 and label == 1.25
+
     def test_effort_above_ability_rejected(self):
         profile = AnnotatorProfile(best_precision=2.0)
         rng = np.random.default_rng(0)
@@ -163,3 +170,43 @@ class TestOptimalEffort:
     def test_non_strategic_always_full_effort(self):
         profile = AnnotatorProfile(best_precision=7.0)
         assert optimal_effort(profile, self.scheme) == (7.0, True)
+
+
+# seed integers of one, two or three 32-bit words, word boundaries included
+_SEED_INTS = (st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
+              | st.integers(0, 2**32 - 1) | st.integers(0, 2**96 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.lists(_SEED_INTS, min_size=1, max_size=3),
+       count=st.integers(1, 70))
+@example(seed=[0], count=1)  # a 2-word seed, padded to the pool of 4
+@example(seed=[2**64 + 3, 4], count=3)  # 5 words with the key
+def test_stream_states_are_default_rng_seedings(seed, count):
+    # the vectorized SeedSequence hash and PCG64 seeding give each key in
+    # range(count) the generator state of default_rng(seed + [key])
+    head = [w for s in seed for w in crowd._seed_words(s)]
+    states = crowd._stream_states(head, count)
+    assert len(states) == count
+    for key, (state, inc) in enumerate(states):
+        want = np.random.default_rng(seed + [key])
+        assert want.bit_generator.state == {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(efforts=st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=64),
+       truth=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
+       seed=st.lists(_SEED_INTS, min_size=1, max_size=3))
+def test_answers_are_label_value_on_the_default_rng_streams(efforts, truth,
+                                                            seed):
+    # row j of the answer matrix, drawn and labeled in place, is label_value
+    # on the noise of default_rng(seed + [j]) to the bit
+    truth = np.array(truth)
+    answers = crowd._answers(efforts, truth, seed)
+    assert answers.shape == (len(efforts), truth.size)
+    for j, effort in enumerate(efforts):
+        noise = np.random.default_rng(seed + [j]).standard_normal(truth.size)
+        want = label_value(AnnotatorProfile(effort), truth, effort, noise)
+        assert answers[j].tobytes() == want.tobytes()

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdreg import (
@@ -496,6 +496,16 @@ class TestConfig:
         assert cfg.strategy == "random"
         assert cfg.s_grid == (0.5, 1.0)
 
+    def test_from_file_drops_a_byte_order_mark(self, tmp_path):
+        # spreadsheets and some editors write one; load_csv drops it too
+        text = json.dumps({"budget": 7, "interval_good": [0.2, 0.5]})
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert (ExperimentConfig.from_file(bom)
+                == ExperimentConfig.from_file(plain))
+
     def test_field_validation(self):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(test_fraction=1.5)
@@ -566,6 +576,12 @@ class TestConfig:
         pytest.param({"interval_bad": [1.0, 1e100],
                       "interval_good": [1e-120, 1.0]}, "interval_bad",
                      id="values30-interval_bad"),
+        # an empty band also names where each end came from: the key set,
+        # or the interval its default derives from (1 / 0.09^2 > 100)
+        pytest.param({"beta_upper": 0.1}, "beta_upper",
+                     id="values31-beta_upper"),
+        pytest.param({"interval_bad": [0.05, 0.09]}, "interval_bad",
+                     id="values32-interval_bad"),
     ])
     def test_from_dict_names_the_bad_key(self, values, key):
         with pytest.raises(InvalidInputError, match=f"config key '{key}'"):
@@ -633,6 +649,18 @@ class TestFullFit:
         block = setup.answers[:, :k]
         assert setup.dataset.values.tobytes() == block.tobytes()
 
+    def test_builtin_data_is_built_once_read_only(self):
+        # a run without a data file shares one read-only copy of the
+        # built-in dataset; synthetic_housing_like still returns fresh,
+        # writable arrays
+        first = harness._load_data(ExperimentConfig())
+        second = harness._load_data(ExperimentConfig(base_seed=5))
+        fresh = harness.synthetic_housing_like()
+        for shared, again, built in zip(first, second, fresh):
+            assert shared is again
+            assert not shared.flags.writeable and built.flags.writeable
+            assert shared.tobytes() == built.tobytes()
+
     def test_full_fit_never_builds_the_block_label_vectors(self,
                                                           monkeypatch):
         # a fit reads the block's values and statistics only: its rows and
@@ -668,30 +696,6 @@ class TestFullFit:
         finally:
             tracemalloc.stop()
         assert peak < 5 * matrix
-
-
-# a rep_seed of 1, 2 or 3 words, and stream keys around 2**32, where a key
-# gains its second word, or anywhere below 2**64
-@settings(max_examples=60, deadline=None)
-@given(rep_seed=st.integers(1, 3).flatmap(
-           lambda w: st.integers(2**(32 * w - 32) if w > 1 else 0,
-                                 2**(32 * w) - 1)),
-       keys=st.lists(st.integers(2**32 - 2, 2**32 + 1)
-                     | st.integers(0, 2**64 - 1), min_size=1, max_size=6))
-@example(rep_seed=2**32, keys=[2**32 - 1, 2**32, 0])  # 4 words and 5
-@example(rep_seed=2**64 + 3, keys=[2**32, 7])  # 6 words and 5
-def test_stream_states_are_default_rng_seedings(rep_seed, keys):
-    # the vectorized SeedSequence hash and PCG64 seeding give each key the
-    # generator state of default_rng([rep_seed, _LABEL, key]), whatever the
-    # word counts of the keys beside it
-    head = harness._seed_words(rep_seed) + [harness._LABEL]
-    states = harness._stream_states(head, keys)
-    assert len(states) == len(keys)
-    for key, (state, inc) in zip(keys, states):
-        want = np.random.default_rng([rep_seed, harness._LABEL, key])
-        assert want.bit_generator.state == {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
 
 
 @settings(max_examples=25, deadline=None)
