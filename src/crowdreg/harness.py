@@ -145,7 +145,9 @@ class ExperimentConfig:
     """Everything a run needs; mirrors the config-file key names exactly.
 
     Construction checks each field's type and limits, then the resolved
-    payment band and moment bound, and names the first offending key.
+    payment band and moment bound, and names the first offending key.  For
+    a strategy with the UCB bandit, the moment bound must also pass the
+    bandit's own checks at the largest horizon the run can reach.
     """
 
     data_path: str | None = None
@@ -182,7 +184,17 @@ class ExperimentConfig:
             if f.type.startswith("tuple"):
                 object.__setattr__(self, f.name, tuple(map(float, value)))
         self.scheme()
-        self.moment_bound()
+        u = self.moment_bound()
+        if _RULES[self.strategy][1] == "ucb":
+            # The bandit's checks grow with the horizon: pass at the largest
+            # one the run can reach, and every run passes them.
+            horizon = self.seed_pool_size * self.num_annotators + self.budget
+            try:
+                bd.BanditState(self.num_annotators, u, horizon=max(horizon, 2))
+            except InvalidInputError as exc:
+                key = ("interval_bad" if self.u_override is None
+                       else "u_override")
+                raise InvalidInputError(f"config key {key!r}: {exc}") from None
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -190,7 +202,7 @@ class ExperimentConfig:
         unknown = set(values) - known
         if unknown:
             raise InvalidInputError(
-                f"unknown config keys: {sorted(unknown)}"
+                f"unknown config keys: {sorted(unknown, key=repr)}"
             )
         return cls(**values)
 

@@ -394,8 +394,11 @@ class WeightPosterior:
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        cov, _ = dpotrs(self._factor, np.eye(self.dim), lower=1)
-        return _frozen_array(0.5 * (cov + cov.T))
+        # The sweep's solve shape, so a fitted posterior and one built from
+        # its mean and precision hold the same bits on every BLAS kernel.
+        _, cov = _solve(self._factor, _weight_rhs(self).copy(order="F"))
+        cov.setflags(write=False)
+        return cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +479,8 @@ def expected_precision(posterior: PrecisionPosterior) -> np.ndarray:
 def _weight_rhs(prior: WeightPosterior) -> np.ndarray:
     """``[P0 mu0 | I]``, Fortran-ordered and read-only: the right-hand side
     of every weight step under ``prior`` before the labels' term joins the
-    first column.  Built once per prior, which is frozen, and kept on it."""
+    first column, and of ``prior``'s own covariance.  Built once per prior,
+    which is frozen, and kept on it."""
     rhs = prior.__dict__.get("_rhs")
     if rhs is None:
         rhs = np.empty((prior.dim, prior.dim + 1), order="F")
@@ -485,6 +489,15 @@ def _weight_rhs(prior: WeightPosterior) -> np.ndarray:
         rhs.setflags(write=False)
         prior.__dict__["_rhs"] = rhs
     return rhs
+
+
+def _solve(factor, rhs):
+    """``(P^-1 b, P^-1)`` from one ``dpotrs`` over the Fortran-ordered
+    ``[b | I]``, which it overwrites; the inverse is symmetrized."""
+    sol, _ = dpotrs(factor, rhs, lower=1, overwrite_b=1)
+    cov = sol[:, 1:] + sol[:, 1:].T
+    cov *= 0.5
+    return sol[:, 0], cov
 
 
 def _weight_step(stats, e, prior, rhs):
@@ -504,14 +517,10 @@ def _weight_step(stats, e, prior, rhs):
     sym *= 0.5
     factor = _cholesky(sym, "weight update produced a non-finite or non "
                             "positive definite precision")
-    # One solve gives the mean (first column) and the covariance.
     sol = rhs.copy(order="F")
     sol[:, 0] += e @ xty
-    sol, _ = dpotrs(factor, sol, lower=1, overwrite_b=1)
-    inv = sol[:, 1:]
-    cov = inv + inv.T
-    cov *= 0.5
-    return sol[:, 0], sym, factor, cov
+    mean, cov = _solve(factor, sol)
+    return mean, sym, factor, cov
 
 
 def _rate_step(stats, mean, cov, prior_rates):

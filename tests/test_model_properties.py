@@ -447,11 +447,32 @@ def test_cholesky_path_equals_scipy_wrappers(problem):
     assert np.array_equal(model._cholesky(prec, ""), reference[0])
     post = WeightPosterior(rng.normal(size=d), prec)
     assert np.array_equal(post._factor, reference[0])
-    cov = cho_solve(reference, np.eye(d))
-    assert np.array_equal(post.covariance, 0.5 * (cov + cov.T))
+    # the sweep's right-hand side [P mean | I]; columns 1..d are the inverse
+    sol = cho_solve(reference,
+                    np.column_stack([post.precision @ post.mean, np.eye(d)]))
+    assert np.array_equal(post.covariance, 0.5 * (sol[:, 1:] + sol[:, 1:].T))
     rows = rng.normal(size=(int(rng.integers(1, 40)), d))
     assert [predictive(x, post)[1] for x in rows] == [
         max(x @ cho_solve(reference, x), 0.0) for x in rows]
+
+
+@PROPERTY
+@given(symmetric_matrices(), st.sampled_from([1e-6, 1.0, 1e6]))
+def test_covariance_bits_do_not_depend_on_the_first_column(problem, scale):
+    # the fit solves [P0 mu0 + E X'y | I] and the constructor [P mean | I]:
+    # one covariance formula holds only if column 0 leaves columns 1..d alone
+    prec, rng = problem
+    assume(scipy_factor(prec) is not None)
+    d = prec.shape[0]
+    factor = model._cholesky(prec, "")
+
+    def covariance(b):
+        rhs = np.empty((d, d + 1), order="F")
+        rhs[:, 0], rhs[:, 1:] = b, np.eye(d)
+        return model._solve(factor, rhs)[1]
+
+    assert np.array_equal(covariance(scale * rng.normal(size=d)),
+                          covariance(np.zeros(d)))
 
 
 @PROPERTY
