@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import math
+import sys
 from array import array
 from dataclasses import dataclass, fields
 
@@ -140,6 +141,23 @@ _LIMITS = {
 }
 
 
+# The horizon's terms, each a product of config keys, summed.
+_HORIZON_TERMS = (("seed_pool_size", "num_annotators"), ("budget",))
+
+
+def _overflowing_keys(config) -> list[str]:
+    """The keys whose horizon term is beyond the float range: within such a
+    term, those beyond it on their own, else all of the term's.  All the
+    horizon's keys when only the sum overflows."""
+    keys = []
+    for term in _HORIZON_TERMS:
+        values = [getattr(config, k) for k in term]
+        if math.prod(values) > sys.float_info.max:
+            keys += [k for k, v in zip(term, values)
+                     if v > sys.float_info.max] or term
+    return keys or [k for term in _HORIZON_TERMS for k in term]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; mirrors the config-file key names exactly.
@@ -192,6 +210,13 @@ class ExperimentConfig:
             try:
                 bd.BanditState(self.num_annotators, u, horizon=max(horizon, 2))
             except InvalidInputError as exc:
+                if horizon > sys.float_info.max:  # no moment bound passes
+                    keys = _overflowing_keys(self)
+                    raise InvalidInputError(
+                        f"config key{'s' * (len(keys) > 1)} "
+                        f"{', '.join(map(repr, keys))}: the largest horizon "
+                        f"seed_pool_size * num_annotators + budget is beyond "
+                        f"the float range") from None
                 key = ("interval_bad" if self.u_override is None
                        else "u_override")
                 raise InvalidInputError(f"config key {key!r}: {exc}") from None

@@ -98,6 +98,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _trusted(cls, **fields):
+    """A ``cls`` built from ``fields`` without ``__post_init__``: for arrays
+    that the caller has just computed from checked input, which are frozen
+    in place, not copied or checked again.  Never pass an array that a
+    caller of the public API holds: it would turn read-only under them."""
+    for v in fields.values():
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _cholesky(prec: np.ndarray, failure: str) -> np.ndarray:
     """Lower Cholesky factor of ``prec`` from LAPACK's ``dpotrf``, with the
     upper triangle left as it was.  A non-finite or not positive definite
@@ -336,16 +349,13 @@ class CrowdDataset:
         y = float(y)
         stats = tuple(a.copy() for a in self._suffstats)
         _accumulate(stats, j, self.instances[i:i + 1], np.array([y]))
-        # Every other field is already validated: skip __post_init__.
-        child = object.__new__(CrowdDataset)
-        child.__dict__.update(instances=self.instances, _suffstats=stats,
-                              num_annotators=m)
+        labels = {}
         for name, v in (("rows", i), ("annotators", j), ("values", y)):
             old = getattr(self, name)
-            grown = child.__dict__[name] = np.empty(k + 1, old.dtype)
+            grown = labels[name] = np.empty(k + 1, old.dtype)
             grown[:k], grown[k] = old, v
-            grown.setflags(write=False)
-        return child
+        return _trusted(CrowdDataset, instances=self.instances,
+                        num_annotators=m, _suffstats=stats, **labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,17 +387,6 @@ class WeightPosterior:
         object.__setattr__(self, "_factor", _cholesky(
             self.precision, "precision matrix is not positive definite"))
 
-    @classmethod
-    def _from_sweep(cls, mean, precision, factor, covariance):
-        """A posterior from one weight step's arrays, which are consistent by
-        construction: no checks, no second factorization."""
-        post = object.__new__(cls)
-        for a in (mean, precision, covariance):
-            a.setflags(write=False)
-        post.__dict__.update(mean=mean, precision=precision, _factor=factor,
-                             covariance=covariance)
-        return post
-
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
@@ -396,9 +395,21 @@ class WeightPosterior:
     def covariance(self) -> np.ndarray:
         # The sweep's solve shape, so a fitted posterior and one built from
         # its mean and precision hold the same bits on every BLAS kernel.
-        _, cov = _solve(self._factor, _weight_rhs(self).copy(order="F"))
+        _, cov = _solve(self._factor, self._rhs.copy(order="F"))
         cov.setflags(write=False)
         return cov
+
+    @cached_property
+    def _rhs(self) -> np.ndarray:
+        """``[P mu | I]``, Fortran-ordered and read-only: the right-hand side
+        of this posterior's covariance and, with this posterior as the prior,
+        of every weight step before the labels' term joins the first
+        column."""
+        rhs = np.empty((self.dim, self.dim + 1), order="F")
+        rhs[:, 0] = self.precision @ self.mean
+        rhs[:, 1:] = np.eye(self.dim)
+        rhs.setflags(write=False)
+        return rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,17 +442,6 @@ class PrecisionPosterior:
                 f"need finite values > 0")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rate", rate)
-
-    @classmethod
-    def _from_sweep(cls, shape, rate):
-        """Gamma factors from a fit's shapes and a checked rate step, which
-        are finite and > 0 by construction: frozen in place, not copied or
-        checked again."""
-        post = object.__new__(cls)
-        for a in (shape, rate):
-            a.setflags(write=False)
-        post.__dict__.update(shape=shape, rate=rate)
-        return post
 
 
 @dataclass(frozen=True)
@@ -476,21 +476,6 @@ def expected_precision(posterior: PrecisionPosterior) -> np.ndarray:
     return posterior.shape / posterior.rate
 
 
-def _weight_rhs(prior: WeightPosterior) -> np.ndarray:
-    """``[P0 mu0 | I]``, Fortran-ordered and read-only: the right-hand side
-    of every weight step under ``prior`` before the labels' term joins the
-    first column, and of ``prior``'s own covariance.  Built once per prior,
-    which is frozen, and kept on it."""
-    rhs = prior.__dict__.get("_rhs")
-    if rhs is None:
-        rhs = np.empty((prior.dim, prior.dim + 1), order="F")
-        rhs[:, 0] = prior.precision @ prior.mean
-        rhs[:, 1:] = np.eye(prior.dim)
-        rhs.setflags(write=False)
-        prior.__dict__["_rhs"] = rhs
-    return rhs
-
-
 def _solve(factor, rhs):
     """``(P^-1 b, P^-1)`` from one ``dpotrs`` over the Fortran-ordered
     ``[b | I]``, which it overwrites; the inverse is symmetrized."""
@@ -500,12 +485,17 @@ def _solve(factor, rhs):
     return sol[:, 0], cov
 
 
+# The fields of a WeightPosterior that hold the weight step's arrays, in the
+# order that the step returns them.
+_STEP_FIELDS = ("mean", "precision", "_factor", "covariance")
+
+
 def _weight_step(stats, e, prior, rhs):
     """(mean, precision, Cholesky factor, covariance) of q(w) given the
     expected annotator precisions ``e``, some of them > 0 on labeled
-    annotators (the caller's check).  ``rhs`` is :func:`_weight_rhs` of the
-    prior.  With :func:`_rate_step` it makes one sweep; neither validates
-    its input.
+    annotators (the caller's check).  ``rhs`` is the prior's ``_rhs``.
+    With :func:`_rate_step` it makes one sweep; neither validates its
+    input.
     """
     grams, xty, _, _ = stats
     d = rhs.shape[0]
@@ -571,8 +561,8 @@ def vi_update_weights(
     stats = dataset._suffstats
     if not stats[3] @ e > 0:  # no labeled annotator has weight
         return prior
-    return WeightPosterior._from_sweep(
-        *_weight_step(stats, e, prior, _weight_rhs(prior)))
+    q = _weight_step(stats, e, prior, prior._rhs)
+    return _trusted(WeightPosterior, **dict(zip(_STEP_FIELDS, q)))
 
 
 def vi_update_precision(
@@ -594,7 +584,8 @@ def vi_update_precision(
             f"{prior.shape.size}")
     rates = _rate_step(dataset._suffstats, weights.mean, weights.covariance,
                        prior.rate)
-    return PrecisionPosterior(prior.shape + dataset.label_counts / 2.0, rates)
+    return _trusted(PrecisionPosterior,
+                    shape=prior.shape + dataset.label_counts / 2.0, rate=rates)
 
 
 def _elbo(shapes, rates, q, prior) -> float:
@@ -687,7 +678,7 @@ def fit_variational(
                 f"{weights.dim} and {precisions.shape.size}")
 
     stats = dataset._suffstats
-    rhs = _weight_rhs(weight_prior)
+    rhs = weight_prior._rhs
     shapes = precision_priors.shape + stats[3] / 2.0
     prior_rates = precision_priors.rate
     # Without labels every weight step is the prior's; with them, each
@@ -735,8 +726,9 @@ def fit_variational(
                     bound = trial_bound
                     converged = delta < tolerance
 
-    weights = weight_prior if prior_q else WeightPosterior._from_sweep(*q)
-    return (weights, PrecisionPosterior._from_sweep(shapes, rates),
+    weights = weight_prior if prior_q else _trusted(
+        WeightPosterior, **dict(zip(_STEP_FIELDS, q)))
+    return (weights, _trusted(PrecisionPosterior, shape=shapes, rate=rates),
             FitReport(sweeps, converged, delta))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,3 +212,19 @@ def test_answers_are_label_value_on_the_default_rng_streams(efforts, truth,
         noise = np.random.default_rng(seed + [j]).standard_normal(truth.size)
         want = label_value(AnnotatorProfile(effort), truth, effort, noise)
         assert answers[j].tobytes() == want.tobytes()
+
+
+def test_answers_label_the_matrix_they_draw_into():
+    # one warm call holds the answer matrix and the small per-annotator
+    # arrays: about 1.5 matrices.  Labeling into a second matrix, or into a
+    # copy of the first, would hold two or more at the peak
+    efforts = np.linspace(0.25, 100.0, 50)
+    truth = np.random.default_rng(0).normal(size=354)
+    matrix = crowd._answers(efforts, truth, [7]).nbytes
+    tracemalloc.start()
+    try:
+        crowd._answers(efforts, truth, [7])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matrix

@@ -592,10 +592,24 @@ class TestConfig:
                      id="values33-u_override"),
         pytest.param({"interval_bad": [1.0, 3e76]}, "interval_bad",
                      id="values34-interval_bad"),
+        # a horizon beyond the float range names the term that overflows,
+        # not the moment bound that no horizon that large admits
+        pytest.param({"seed_pool_size": 10**309}, "seed_pool_size",
+                     id="values35-seed_pool_size"),
+        pytest.param({"budget": 10**309}, "budget", id="values36-budget"),
     ])
     def test_from_dict_names_the_bad_key(self, values, key):
         with pytest.raises(InvalidInputError, match=f"config key '{key}'"):
             ExperimentConfig.from_dict(values)
+
+    def test_a_horizon_overflowing_as_a_product_or_sum_names_its_keys(self):
+        with pytest.raises(InvalidInputError, match=(
+                "^config keys 'seed_pool_size', 'num_annotators': the largest "
+                "horizon")):
+            ExperimentConfig(seed_pool_size=10**200, num_annotators=10**200)
+        with pytest.raises(InvalidInputError, match=(
+                "^config keys 'seed_pool_size', 'num_annotators', 'budget':")):
+            ExperimentConfig(seed_pool_size=2 * 10**306, budget=10**308)
 
     def test_a_strategy_without_the_bandit_takes_any_moment_bound(self):
         config = ExperimentConfig(u_override=1e306, strategy="random",

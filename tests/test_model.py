@@ -201,6 +201,13 @@ class TestPrecisionUpdate:
         out = vi_update_precision(ds, default_weight_prior(2), prior)
         assert (out.shape[1], out.rate[1]) == (2.0, 3.0)
         assert out.shape[0] == 1.5
+        # the update skips the constructor's checks, which its arrays pass:
+        # the checked constructor gives the same bytes, read-only
+        checked = PrecisionPosterior(out.shape, out.rate)
+        for name in ("shape", "rate"):
+            got, want = getattr(out, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
     def test_shape_gains_half_label_count(self):
         ds = CrowdDataset(np.ones((4, 2)), range(4), [0] * 4, [1.0] * 4, 1)

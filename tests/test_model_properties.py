@@ -338,6 +338,7 @@ def test_a_block_grows_as_its_labels_do_flat(problem, data):
     for name in ("rows", "annotators", "values"):
         got, ref = getattr(grown[0], name), getattr(grown[1], name)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable and not ref.flags.writeable
     for a, b in zip(grown[0]._suffstats, grown[1]._suffstats):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -509,7 +510,7 @@ def test_weight_step_equals_scipy_wrappers(problem):
     ds = CrowdDataset(X, *labels, m)
     prior = random_weights(rng, X.shape[1])
     e = random_gamma(rng, m).shape
-    step = model._weight_step(ds._suffstats, e, prior, model._weight_rhs(prior))
+    step = model._weight_step(ds._suffstats, e, prior, prior._rhs)
     for got, want in zip(step, scipy_weight_step(ds._suffstats, e, prior)):
         assert np.array_equal(got, want)
 
@@ -517,21 +518,27 @@ def test_weight_step_equals_scipy_wrappers(problem):
 @PROPERTY
 @given(labeled_problems(max_d=16), st.integers(1, 4))
 def test_fitted_posterior_equals_public_constructor(problem, sweeps):
-    # the fit reuses its last sweep's factor and covariance; the public
-    # constructor recomputes both from the same mean and precision
+    # the fit reuses its last sweep's factor and covariance, and its rates,
+    # frozen in place; the public constructors recompute or check them
     X, m, labels, rng = problem
     assume(labels[0].size)
     ds = CrowdDataset(X, *labels, m)
     d = X.shape[1]
-    weights, _, _ = fit_variational(ds, random_weights(rng, d),
-                                    random_gamma(rng, m), max_sweeps=sweeps)
+    weights, gammas, _ = fit_variational(ds, random_weights(rng, d),
+                                         random_gamma(rng, m),
+                                         max_sweeps=sweeps)
     public = WeightPosterior(weights.mean, weights.precision)
     assert np.array_equal(weights._factor, public._factor)
     assert np.array_equal(weights.covariance, public.covariance)
     rows = rng.normal(size=(int(rng.integers(1, 40)), d))
     assert ([predictive(x, weights)[1] for x in rows]
             == [predictive(x, public)[1] for x in rows])
-    for a in (weights.mean, weights.precision, weights.covariance):
+    checked = PrecisionPosterior(gammas.shape, gammas.rate)
+    for name in ("shape", "rate"):
+        got, want = getattr(gammas, name), getattr(checked, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for a in (weights.mean, weights.precision, weights._factor,
+              weights.covariance, gammas.shape, gammas.rate):
         assert not a.flags.writeable
 
 
