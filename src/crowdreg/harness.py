@@ -30,7 +30,7 @@ from .errors import (DataFormatError, InvalidInputError, _integer, _is_int,
                      _is_real, _seed)
 from .features import (TransformSpec, apply_normalization, fit_centers,
                        normalize, transform)
-from .mechanism import PaymentScheme, settle
+from .mechanism import PaymentScheme, payment, settle
 from .model import (CrowdDataset, PrecisionPosterior, WeightPosterior,
                     default_precision_priors, default_weight_prior,
                     fit_variational)
@@ -636,7 +636,7 @@ def _run_repetition(config, data, rep):
             accepted = bd.record_outcome(state, j, residual_sq)
             discarded = state.discarded
         ledger.record_pull(j)
-        paid += float(settle(precisions, scheme)[j])
+        paid += payment(precisions.shape[j] / precisions.rate[j], scheme)
         unlabeled = unlabeled[unlabeled != pos]
 
         records.append(RoundRecord(

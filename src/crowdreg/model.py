@@ -52,13 +52,17 @@ _SYMMETRY_RTOL = 1e-10
 # Whole-array reductions called as ufunc methods: the ndarray methods
 # ``.all()``, ``.min()``, ``.max()`` and ``.sum()`` reach the same reductions
 # through a Python wrapper each, which the sweep would pay several times.
+# For the same reason 0.5 is a 0-d array: a ufunc converts a Python float on
+# every call.
 _all, _min, _max, _sum = (np.logical_and.reduce, np.minimum.reduce,
                           np.maximum.reduce, np.add.reduce)
+_HALF = np.array(0.5)
+_HALF.flags.writeable = False
 
 
 def _lapack_routines():
-    """LAPACK's ``dpotrf`` and ``dpotrs`` from scipy's extension module
-    ``scipy/linalg/_flapack``, loaded from its file.
+    """LAPACK's ``dpotrf``, ``dpotrs`` and ``dposv`` from scipy's extension
+    module ``scipy/linalg/_flapack``, loaded from its file.
 
     Importing them from ``scipy.linalg.lapack`` would run ``scipy.linalg``'s
     package ``__init__``, which takes most of ``import crowdreg``.  Python
@@ -84,12 +88,14 @@ def _lapack_routines():
                     continue
                 finally:
                     sys.modules.pop(name, None)
-                return flapack.dpotrf, flapack.dpotrs
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    return dpotrf, dpotrs
+                return flapack.dpotrf, flapack.dpotrs, flapack.dposv
+    from scipy.linalg.lapack import dposv, dpotrf, dpotrs
+    return dpotrf, dpotrs, dposv
 
 
-dpotrf, dpotrs = _lapack_routines()
+# Called positionally, which f2py parses faster than keywords, in the order
+# of each routine's ``__doc__``: dposv(a, b, lower, overwrite_a, overwrite_b).
+dpotrf, dpotrs, dposv = _lapack_routines()
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -111,24 +117,17 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _cholesky(prec: np.ndarray, failure: str) -> np.ndarray:
-    """Lower Cholesky factor of ``prec`` from LAPACK's ``dpotrf``, with the
-    upper triangle left as it was.  A non-finite or not positive definite
-    ``prec`` raises :class:`NumericalFailureError` with the message
-    ``failure``.
-    """
+def _cholesky(prec: np.ndarray, failure: str, *rhs):
+    """Lower Cholesky factor of ``prec`` from LAPACK's ``dpotrf``, the upper
+    triangle left as it was; given a Fortran-ordered ``rhs``, that factor and
+    the solution of ``prec x = rhs`` from one ``dposv``, which overwrites
+    ``rhs``.  A non-finite or not positive definite ``prec`` raises
+    :class:`NumericalFailureError` with the message ``failure``."""
     if _all(np.isfinite(prec), axis=None):
-        factor, info = dpotrf(prec, lower=1, clean=0)
+        *out, info = dposv(prec, *rhs, 1, 0, 1) if rhs else dpotrf(prec, 1, 0)
         if info == 0:
-            return factor
+            return out if rhs else out[0]
     raise NumericalFailureError(failure)
-
-
-def _accumulate(stats, j, rows, ys) -> None:
-    """Add the labels ``ys`` on ``rows`` to annotator ``j``'s statistics."""
-    gram = (rows.T @ rows).ravel()
-    for a, term in zip(stats, (gram, rows.T @ ys, ys @ ys, len(ys))):
-        a[j] += term
 
 
 def _checked_labels(rows, annotators, values, n, m):
@@ -197,7 +196,7 @@ def _statistics(instances, runs, m):
     """Per-annotator (X_j' X_j raveled, X_j' y_j, y_j' y_j, n_j), stacked.
     A run ``(lo, rows, answers)``, in which annotator ``lo + i`` gave
     ``answers[i]`` on ``rows``, costs one row gather and one Gram; the bits
-    are :func:`_accumulate`'s from zero.  Each annotator's answers are
+    are those of each annotator's own matmuls from zero.  Its answers are
     copied first: a view may start 8 bytes off a 16-byte boundary, and some
     BLAS kernels (OpenBLAS's Prescott ``ddot``) then sum in another order."""
     d = instances.shape[1]
@@ -215,7 +214,7 @@ def _statistics(instances, runs, m):
         for j, ys in enumerate(answers, lo):
             ys = ys.copy()
             xty[j], ysq[j] = xt @ ys, ys @ ys
-    for a in (gram, xty, ysq):  # 0.0 + v, as _accumulate: -0.0 reads +0.0
+    for a in (gram, xty, ysq):  # 0.0 + v, a sum from zero: -0.0 reads +0.0
         a += 0.0
     return gram, xty, ysq, counts
 
@@ -346,9 +345,10 @@ class CrowdDataset:
                 and 0 <= i < n and 0 <= j < m and math.isfinite(y)
                 and not (self.rows[self.annotators == j] == i).any()):
             raise _label_error(k, i, j, y, n, m)
-        y = float(y)
-        stats = tuple(a.copy() for a in self._suffstats)
-        _accumulate(stats, j, self.instances[i:i + 1], np.array([y]))
+        y, x = float(y), self.instances[i]
+        stats = tuple([a.copy() for a in self._suffstats])
+        for a, term in zip(stats, ((x[:, None] * x).ravel(), x * y, y * y, 1)):
+            a[j] += term
         labels = {}
         for name, v in (("rows", i), ("annotators", j), ("values", y)):
             old = getattr(self, name)
@@ -393,9 +393,10 @@ class WeightPosterior:
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        # The sweep's solve shape, so a fitted posterior and one built from
-        # its mean and precision hold the same bits on every BLAS kernel.
-        _, cov = _solve(self._factor, self._rhs.copy(order="F"))
+        # The sweep's solve (dposv is dpotrf then dpotrs), so a fitted and a
+        # rebuilt posterior hold the same bits on every BLAS kernel.
+        sol, _ = dpotrs(self._factor, self._rhs.copy(order="F"), 1, 1)
+        _, cov = _split(sol)
         cov.setflags(write=False)
         return cov
 
@@ -476,12 +477,12 @@ def expected_precision(posterior: PrecisionPosterior) -> np.ndarray:
     return posterior.shape / posterior.rate
 
 
-def _solve(factor, rhs):
-    """``(P^-1 b, P^-1)`` from one ``dpotrs`` over the Fortran-ordered
-    ``[b | I]``, which it overwrites; the inverse is symmetrized."""
-    sol, _ = dpotrs(factor, rhs, lower=1, overwrite_b=1)
-    cov = sol[:, 1:] + sol[:, 1:].T
-    cov *= 0.5
+def _split(sol):
+    """``(P^-1 b, P^-1)`` from the solution of ``P x = [b | I]`` (Fortran
+    order); the inverse is symmetrized."""
+    inv = sol[:, 1:]
+    cov = inv + inv.T
+    cov *= _HALF
     return sol[:, 0], cov
 
 
@@ -490,26 +491,25 @@ def _solve(factor, rhs):
 _STEP_FIELDS = ("mean", "precision", "_factor", "covariance")
 
 
-def _weight_step(stats, e, prior, rhs):
+def _weight_step(stats, e, prior):
     """(mean, precision, Cholesky factor, covariance) of q(w) given the
     expected annotator precisions ``e``, some of them > 0 on labeled
-    annotators (the caller's check).  ``rhs`` is the prior's ``_rhs``.
-    With :func:`_rate_step` it makes one sweep; neither validates its
-    input.
+    annotators (the caller's check).  With :func:`_rate_step` it makes one
+    sweep; neither validates its input.
     """
     grams, xty, _, _ = stats
-    d = rhs.shape[0]
+    sol = prior._rhs.copy(order="F")
+    d = sol.shape[0]
     # 0.5 * (P + P') with P = P0 + E G, computed in place: each addition is
     # commutative, so the bits are those of the allocating expression.
-    prec = (e @ grams).reshape(d, d)
+    prec = np.dot(e, grams).reshape(d, d)
     prec += prior.precision
     sym = prec + prec.T
-    sym *= 0.5
-    factor = _cholesky(sym, "weight update produced a non-finite or non "
-                            "positive definite precision")
-    sol = rhs.copy(order="F")
-    sol[:, 0] += e @ xty
-    mean, cov = _solve(factor, sol)
+    sym *= _HALF
+    sol[:, 0] += np.dot(e, xty)
+    factor, sol = _cholesky(sym, "weight update produced a non-finite or "
+                            "non positive definite precision", sol)
+    mean, cov = _split(sol)
     return mean, sym, factor, cov
 
 
@@ -525,11 +525,11 @@ def _rate_step(stats, mean, cov, prior_rates):
     grams, xty, ysq, _ = stats
     moment = mean[:, None] * mean
     moment += cov
-    rates = xty @ mean
-    rates *= 2.0
+    rates = np.dot(xty, mean)
+    rates += rates  # x + x is 2 x, exactly
     np.subtract(ysq, rates, out=rates)
-    rates += grams @ moment.ravel()
-    rates *= 0.5
+    rates += np.dot(grams, moment.ravel())
+    rates *= _HALF
     rates += prior_rates
     # Unlabeled annotators keep their prior rate (> 0); NaN fails too.
     if not (0 < _min(rates) and _max(rates) < np.inf):
@@ -561,7 +561,7 @@ def vi_update_weights(
     stats = dataset._suffstats
     if not stats[3] @ e > 0:  # no labeled annotator has weight
         return prior
-    q = _weight_step(stats, e, prior, prior._rhs)
+    q = _weight_step(stats, e, prior)
     return _trusted(WeightPosterior, **dict(zip(_STEP_FIELDS, q)))
 
 
@@ -600,10 +600,11 @@ def _elbo(shapes, rates, q, prior) -> float:
     ``log det P`` is twice the summed log of the factor's diagonal.
     """
     mean, _, factor, cov = q
-    dm = mean - prior.mean
-    return float(-shapes @ np.log(rates) - _sum(np.log(factor.diagonal()))
-                 - 0.5 * (_sum(prior.precision * cov, axis=None)
-                          + dm @ prior.precision @ dm))
+    dm, p0 = mean - prior.mean, prior.precision
+    return float(np.dot(-shapes, np.log(rates))
+                 - _sum(np.log(factor.diagonal()))
+                 - 0.5 * (_sum(p0 * cov, axis=None)
+                          + np.dot(np.dot(dm, p0), dm)))
 
 
 def _squarem_rates(r0, r1, r2):
@@ -611,13 +612,13 @@ def _squarem_rates(r0, r1, r2):
     (Varadhan and Roland, Scand. J. Stat. 2008, step length
     ``min(-1, -|s| / |v|)``), or None when ``v = 0`` or the extrapolated
     rates are not all finite and positive."""
-    s, v = r1 - r0, r2 - 2.0 * r1 + r0
-    vv = v @ v
+    s, v = r1 - r0, r2 - (r1 + r1) + r0
+    vv = np.dot(v, v)
     if not vv > 0:
         return None
-    alpha = min(-1.0, -math.sqrt((s @ s) / vv))
+    alpha = min(-1.0, -math.sqrt(np.dot(s, s) / vv))
     trial = r0 - 2.0 * alpha * s + alpha * alpha * v
-    return trial if _all(np.isfinite(trial)) and _min(trial) > 0 else None
+    return trial if 0 < _min(trial) and _max(trial) < np.inf else None
 
 
 def fit_variational(
@@ -651,20 +652,20 @@ def fit_variational(
     first is not an error; the report records which happened.
 
     Validated once per fit, on entry: ``tolerance`` (finite, > 0),
-    ``max_sweeps`` (an integer >= 1), and the dimension and annotator count of the priors and the warm start.  Whether
-    the dataset holds any label is also read once: without labels every
-    weight step is the prior, and with them every expected precision
-    ``shape / rate`` is > 0, so no sweep tests for a weightless step.  Each
-    sweep works on the dataset's stacked sufficient statistics and factors
-    the weight precision once (LAPACK ``dpotrf``); one ``dpotrs`` call then
-    gives the mean and the covariance.  Three checks run on every sweep (the
-    first two when a label is held) and raise
+    ``max_sweeps`` (an integer >= 1), and the dimension and annotator count
+    of the priors and the warm start.  Whether the dataset holds any label
+    is also read once: without labels every weight step is the prior, and
+    with them every expected precision ``shape / rate`` is > 0, so no sweep
+    tests for a weightless step.  Each sweep works on the dataset's stacked
+    sufficient statistics, and one LAPACK ``dposv`` call factors the weight
+    precision and solves for the mean and the covariance.  Three checks run
+    on every sweep (the first two when a label is held) and raise
     :class:`NumericalFailureError`: the weight precision is finite before
-    ``dpotrf``, ``dpotrf`` reports it positive definite, and every new rate
-    lies in (0, inf).  The returned posteriors reuse the kept
-    sweep's arrays, frozen in place: the weight posterior skips the symmetry
-    check and the factorization that the public constructor runs, and the
-    Gamma factors skip the range check that their rates already passed.
+    ``dposv``, ``dposv`` reports it positive definite, and every new rate
+    lies in (0, inf).  The returned posteriors reuse the kept sweep's
+    arrays, frozen in place: the weight posterior skips the symmetry check
+    and the factorization that the public constructor runs, and the Gamma
+    factors skip the range check that their rates already passed.
     """
     m = dataset.num_annotators
     tolerance = _positive(tolerance, "tolerance")
@@ -678,7 +679,6 @@ def fit_variational(
                 f"{weights.dim} and {precisions.shape.size}")
 
     stats = dataset._suffstats
-    rhs = weight_prior._rhs
     shapes = precision_priors.shape + stats[3] / 2.0
     prior_rates = precision_priors.rate
     # Without labels every weight step is the prior's; with them, each
@@ -690,7 +690,7 @@ def fit_variational(
     def sweep(e, rates):
         """F at expected precisions ``e``: the new rates, the weight step's
         arrays and the relative rate change from ``rates``."""
-        q = prior_q or _weight_step(stats, e, weight_prior, rhs)
+        q = prior_q or _weight_step(stats, e, weight_prior)
         new = _rate_step(stats, q[0], q[3], prior_rates)
         change = new - rates
         np.abs(change, out=change)
@@ -701,7 +701,7 @@ def fit_variational(
                             start_precisions.rate)
     sweeps = 1
     converged = (delta < tolerance
-                 and np.array_equal(shapes, start_precisions.shape))
+                 and bool(_all(shapes == start_precisions.shape)))
     bound = None  # the bound at (rates, q), when a kept sweep computed it
     while not converged and sweeps < max_sweeps:
         r0, q0, bound0 = rates, q, bound
@@ -744,5 +744,5 @@ def predictive(x: np.ndarray, weights: WeightPosterior) -> tuple[float, float]:
     if x.shape[0] != weights.dim:
         raise InvalidInputError(
             f"x has dimension {x.shape[0]}, the posterior {weights.dim}")
-    sol, _ = dpotrs(weights._factor, x, lower=1)
+    sol, _ = dpotrs(weights._factor, x, 1)
     return float(x @ weights.mean), float(max(x @ sol, 0.0))

@@ -453,11 +453,12 @@ def _python(code: str) -> str:
 
 
 class TestLapackLoader:
-    """``model`` loads ``dpotrf``/``dpotrs`` from scipy's ``_flapack`` file,
-    so that ``import crowdreg`` runs without ``scipy.linalg``."""
+    """``model`` loads ``dpotrf``/``dpotrs``/``dposv`` from scipy's
+    ``_flapack`` file, so that ``import crowdreg`` runs without
+    ``scipy.linalg``."""
 
     @staticmethod
-    def assert_same_bits(dpotrf, dpotrs):
+    def assert_same_bits(dpotrf, dpotrs, dposv):
         from scipy.linalg import lapack
         rng = np.random.default_rng(11)
         spd = []
@@ -469,8 +470,13 @@ class TestLapackLoader:
             ref_factor, ref_info = lapack.dpotrf(prec, lower=1, clean=0)
             assert info == ref_info
             assert factor.tobytes() == ref_factor.tobytes()
+            b = rng.normal(size=(len(prec), 2))
+            *out, info = dposv(prec, b, lower=1)
+            *ref_out, ref_info = lapack.dposv(prec, b, lower=1)
+            assert info == ref_info
             if info == 0:
-                b = rng.normal(size=(len(prec), 2))
+                for got, want in zip(out, ref_out):  # factor and solution
+                    assert got.tobytes() == want.tobytes()
                 sol, info = dpotrs(factor, b, lower=1)
                 ref_sol, ref_info = lapack.dpotrs(ref_factor, b, lower=1)
                 assert info == ref_info == 0
@@ -496,6 +502,7 @@ class TestLapackLoader:
             "scipy.linalg._flapack\n"
             "assert crowdreg.model.dpotrf is lapack.dpotrf\n"
             "assert crowdreg.model.dpotrs is lapack.dpotrs\n"
+            "assert crowdreg.model.dposv is lapack.dposv\n"
             "factor = scipy.linalg.cho_factor([[4.0, 2.0], [2.0, 2.0]])\n"
             "print(scipy.linalg.cho_solve(factor, [2.0, 0.0]).tolist())\n")
         assert out.strip() == "[1.0, -1.0]"
@@ -506,7 +513,8 @@ class TestLapackLoader:
                 "flapack = sys.modules['scipy.linalg._flapack']\n"
                 "import crowdreg\n"
                 "assert sys.modules['scipy.linalg._flapack'] is flapack\n"
-                "assert crowdreg.model.dpotrf is lapack.dpotrf\n")
+                "assert crowdreg.model.dpotrf is lapack.dpotrf\n"
+                "assert crowdreg.model.dposv is lapack.dposv\n")
 
     def test_file_loaded_routines_match_scipy_bits(self, monkeypatch):
         loaded = []

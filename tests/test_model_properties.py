@@ -2,6 +2,7 @@
 repeat check and its growth by one label), the variational sweep, its LAPACK
 Cholesky path, the evidence lower bound and the accelerated fit."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -281,8 +282,8 @@ def block_problems(draw, min_size=0):
 
 
 def accumulated_statistics(X, m, rows, annotators, values):
-    """The statistics as :func:`model._accumulate` adds them up from zero,
-    one annotator at a time, in label order."""
+    """The statistics added up from zero, one annotator at a time, in label
+    order, each from its own rows' matmuls."""
     d = X.shape[1]
     values = np.asarray(values, dtype=float)
     stats = (np.zeros((m, d * d)), np.zeros((m, d)), np.zeros(m),
@@ -290,7 +291,10 @@ def accumulated_statistics(X, m, rows, annotators, values):
     for j in range(m):
         idx = np.flatnonzero(annotators == j)
         if idx.size:
-            model._accumulate(stats, j, X[rows[idx]], values[idx])
+            x, ys = X[rows[idx]], values[idx]
+            for a, term in zip(stats, ((x.T @ x).ravel(), x.T @ ys, ys @ ys,
+                                       len(ys))):
+                a[j] += term
     return stats
 
 
@@ -439,9 +443,10 @@ def test_cholesky_path_equals_scipy_wrappers(problem):
     prec, rng = problem
     d = prec.shape[0]
     reference = scipy_factor(prec)
-    if reference is None:
-        with pytest.raises(NumericalFailureError):
-            model._cholesky(prec, "not positive definite")
+    if reference is None:  # the sweep's dposv path fails as dpotrf's does
+        for rhs in ((), (np.asfortranarray(rng.normal(size=(d, d + 1))),)):
+            with pytest.raises(NumericalFailureError, match="not positive"):
+                model._cholesky(prec, "not positive definite", *rhs)
         with pytest.raises(NumericalFailureError):
             WeightPosterior(np.zeros(d), prec)
         return
@@ -460,20 +465,26 @@ def test_cholesky_path_equals_scipy_wrappers(problem):
 @PROPERTY
 @given(symmetric_matrices(), st.sampled_from([1e-6, 1.0, 1e6]))
 def test_covariance_bits_do_not_depend_on_the_first_column(problem, scale):
-    # the fit solves [P0 mu0 + E X'y | I] and the constructor [P mean | I]:
-    # one covariance formula holds only if column 0 leaves columns 1..d alone
+    # the fit solves [P0 mu0 + E X'y | I] by dposv and the constructor
+    # [P mean | I] by dpotrs: one covariance formula holds only if column 0
+    # leaves columns 1..d alone and dposv's solution is dpotrs's
     prec, rng = problem
     assume(scipy_factor(prec) is not None)
     d = prec.shape[0]
     factor = model._cholesky(prec, "")
 
-    def covariance(b):
-        rhs = np.empty((d, d + 1), order="F")
-        rhs[:, 0], rhs[:, 1:] = b, np.eye(d)
-        return model._solve(factor, rhs)[1]
+    def rhs(b):
+        out = np.empty((d, d + 1), order="F")
+        out[:, 0], out[:, 1:] = b, np.eye(d)
+        return out
 
-    assert np.array_equal(covariance(scale * rng.normal(size=d)),
-                          covariance(np.zeros(d)))
+    b = scale * rng.normal(size=d)
+    solved = model._cholesky(prec, "", rhs(b))
+    assert np.array_equal(solved[0], factor)
+    by_dposv = model._split(solved[1])[1]
+    for column in (b, np.zeros(d)):
+        sol, _ = model.dpotrs(factor, rhs(column), 1, 1)
+        assert np.array_equal(model._split(sol)[1], by_dposv)
 
 
 @PROPERTY
@@ -485,8 +496,9 @@ def test_cholesky_rejects_non_finite_entries(problem, bad, data):
     i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
     prec = prec.copy()
     prec[i, j] = bad  # the upper triangle too, which dpotrf does not read
-    with pytest.raises(NumericalFailureError):
-        model._cholesky(prec, "not finite")
+    for rhs in ((), (np.asfortranarray(np.ones((d, d + 1))),)):
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            model._cholesky(prec, "not finite", *rhs)
     with pytest.raises(InvalidInputError):
         WeightPosterior(np.zeros(d), prec)
 
@@ -510,7 +522,7 @@ def test_weight_step_equals_scipy_wrappers(problem):
     ds = CrowdDataset(X, *labels, m)
     prior = random_weights(rng, X.shape[1])
     e = random_gamma(rng, m).shape
-    step = model._weight_step(ds._suffstats, e, prior, prior._rhs)
+    step = model._weight_step(ds._suffstats, e, prior)
     for got, want in zip(step, scipy_weight_step(ds._suffstats, e, prior)):
         assert np.array_equal(got, want)
 
@@ -540,6 +552,144 @@ def test_fitted_posterior_equals_public_constructor(problem, sweeps):
     for a in (weights.mean, weights.precision, weights._factor,
               weights.covariance, gammas.shape, gammas.rate):
         assert not a.flags.writeable
+
+
+@st.composite
+def sweep_problems(draw):
+    """Statistics of flat labels over d <= 16 features and m <= 64
+    annotators (at least one label), a weight prior, Gamma priors and the
+    generator that drew them."""
+    d, m, n = (draw(st.integers(1, 16)), draw(st.integers(1, 64)),
+               draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labeled = rng.random((m, n)) < rng.uniform(0.1, 1.0)
+    labeled[rng.integers(m), rng.integers(n)] = True
+    annotators, rows = np.nonzero(labeled)
+    order = rng.permutation(rows.size)
+    ds = CrowdDataset(rng.normal(size=(n, d)), rows[order], annotators[order],
+                      rng.normal(scale=3.0, size=rows.size), m)
+    return ds._suffstats, random_weights(rng, d), random_gamma(rng, m), rng
+
+
+# Reference spellings of the sweep's pieces: ``@`` products, a Python float
+# 0.5, keyword LAPACK calls, dpotrf then dpotrs, and isfinite().all().
+# model.py reaches the same float operations through fewer, cheaper calls,
+# and the property below holds it to these bits.
+
+def reference_weight_step(stats, e, prior):
+    grams, xty, _, _ = stats
+    d = prior.dim
+    prec = (e @ grams).reshape(d, d)
+    prec += prior.precision
+    sym = prec + prec.T
+    sym *= 0.5
+    factor, info = model.dpotrf(sym, lower=1, clean=0)
+    assert info == 0
+    sol = prior._rhs.copy(order="F")
+    sol[:, 0] += e @ xty
+    sol, _ = model.dpotrs(factor, sol, lower=1, overwrite_b=1)
+    cov = sol[:, 1:] + sol[:, 1:].T
+    cov *= 0.5
+    return sol[:, 0], sym, factor, cov
+
+
+def reference_rate_step(stats, mean, cov, prior_rates):
+    grams, xty, ysq, _ = stats
+    moment = mean[:, None] * mean
+    moment += cov
+    rates = xty @ mean
+    rates *= 2.0
+    np.subtract(ysq, rates, out=rates)
+    rates += grams @ moment.ravel()
+    rates *= 0.5
+    rates += prior_rates
+    return rates
+
+
+def reference_elbo(shapes, rates, q, prior):
+    mean, _, factor, cov = q
+    dm = mean - prior.mean
+    return float(-shapes @ np.log(rates)
+                 - np.add.reduce(np.log(factor.diagonal()))
+                 - 0.5 * (np.add.reduce(prior.precision * cov, axis=None)
+                          + dm @ prior.precision @ dm))
+
+
+def reference_squarem(r0, r1, r2):
+    """``(v'v, trial)``, the trial None when ``v'v`` is not > 0."""
+    s, v = r1 - r0, r2 - 2.0 * r1 + r0
+    vv = v @ v
+    if not vv > 0:
+        return vv, None
+    alpha = min(-1.0, -math.sqrt((s @ s) / vv))
+    return vv, r0 - 2.0 * alpha * s + alpha * alpha * v
+
+
+def reference_squarem_rates(r0, r1, r2):
+    trial = reference_squarem(r0, r1, r2)[1]
+    if trial is not None and np.isfinite(trial).all() and trial.min() > 0:
+        return trial
+    return None
+
+
+def same_bits(got, want):
+    if want is None or got is None:
+        return got is want
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@PROPERTY
+@given(sweep_problems())
+def test_sweep_pieces_equal_the_reference_spellings_to_the_bit(problem):
+    stats, prior, gammas, rng = problem
+    shapes = gammas.shape + stats[3] / 2.0
+    iterates = [gammas.rate]
+    for _ in range(3):  # three sweeps: r0 -> r1 -> r2 -> r3
+        e = shapes / iterates[-1]
+        q = model._weight_step(stats, e, prior)
+        assert all(map(same_bits, q, reference_weight_step(stats, e, prior)))
+        new = model._rate_step(stats, q[0], q[3], gammas.rate)
+        assert same_bits(new, reference_rate_step(stats, q[0], q[3],
+                                                  gammas.rate))
+        assert (model._elbo(shapes, new, q, prior).hex()
+                == reference_elbo(shapes, new, q, prior).hex())
+        iterates.append(new)
+    # the fit's own iterates, then ones whose extrapolation may leave (0, inf)
+    m = shapes.size
+    for r in (iterates[1:], rng.uniform(0.01, 3.0, size=(3, m)),
+              gammas.rate * rng.uniform(0.5, 2.0, size=(3, m))):
+        assert same_bits(model._squarem_rates(*r),
+                         reference_squarem_rates(*r))
+
+
+@pytest.mark.parametrize("r0, r1, r2, fault", [
+    ([1.0, 2.0], [1.0, 2.0], [1.0, 2.0], "v = 0"),
+    ([1.0, 2.0], [1.5, 2.5], [2.0, 3.0], "v = 0"),
+    ([1.0, 1.0], [0.5, 1.0], [0.1, 1.0], "negative"),
+    ([1.0, 1.0], [0.5, 1.0], [0.25, 1.0], "zero"),
+    ([1.0, 1e-150], [1e8 + 1, 1e-150], [2e8 + 1, 0.5e-150], "nan"),
+    ([1.0], [1e154], [2e154], "+inf"),
+    ([1.0, 2.0], [1.5, 2.2], [1.7, 2.3], None),
+], ids=["constant", "linear", "negative", "zero", "nan", "inf", "kept"])
+def test_squarem_returns_only_a_finite_positive_trial(r0, r1, r2, fault):
+    r0, r1, r2 = map(np.array, (r0, r1, r2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vv, trial = reference_squarem(r0, r1, r2)
+        got = model._squarem_rates(r0, r1, r2)
+    # each case has the one fault it names, so it reaches that check
+    faults = {"v = 0": vv == 0.0}
+    if trial is not None:
+        faults.update({"negative": (trial < 0).any(),
+                       "zero": (trial == 0).any(),
+                       "nan": np.isnan(trial).any(),
+                       "+inf": np.isposinf(trial).any()})
+    assert [name for name, found in faults.items() if found] == (
+        [fault] if fault else [])
+    if fault:
+        assert got is None
+    else:
+        assert same_bits(got, trial)
 
 
 def sweep_arrays(weights):
