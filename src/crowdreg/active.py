@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, PoolExhaustedError, _positive
-from .model import WeightPosterior, predictive
+from .model import WeightPosterior, _variances, predictive
 
 __all__ = ["select_instance", "det_shrinkage", "error_contraction_bounds"]
 
@@ -15,11 +15,11 @@ def select_instance(candidates, features, weights: WeightPosterior) -> int:
     """The candidate row of ``features`` with the largest score.
 
     The score is the predictive variance ``x' cov x`` of :func:`predictive`,
-    computed against the posterior covariance for every row of ``features``
-    by one matrix product and read at the candidates.  ``candidates`` is an
-    integer index array into the rows of ``features``; ties go to the lowest
-    index.  A non-finite candidate row raises :class:`InvalidInputError`;
-    rows outside ``candidates`` are not checked.
+    by its formula: computed against the posterior covariance for every row
+    of ``features`` by one matrix product, and read at the candidates.
+    ``candidates`` is an integer index array into the rows of ``features``;
+    ties go to the lowest index.  A non-finite candidate row raises
+    :class:`InvalidInputError`; rows outside ``candidates`` are not checked.
     """
     candidates = np.asarray(candidates)
     if candidates.size == 0:
@@ -33,8 +33,7 @@ def select_instance(candidates, features, weights: WeightPosterior) -> int:
         raise InvalidInputError("candidates must be row indices of features")
     # a non-finite row outside the candidates must not warn
     with np.errstate(invalid="ignore", over="ignore"):
-        scores = np.einsum("ij,ij->i", features @ weights.covariance,
-                           features)[candidates]
+        scores = _variances(features, weights.covariance)[candidates]
     # a non-finite score means a non-finite row, or a finite one overflowing
     if not (np.logical_and.reduce(np.isfinite(scores))
             or np.logical_and.reduce(np.isfinite(features[candidates]),

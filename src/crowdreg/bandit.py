@@ -56,18 +56,7 @@ class BanditState:
 
     def __init__(self, num_annotators: int, u: float, horizon: int):
         num_annotators = _integer(num_annotators, "num_annotators", 1)
-        self.u = _positive(u, "u")
-        self.horizon = _integer(horizon, "horizon", 2)
-        if not math.isfinite(32.0 * self.u * math.log(self.horizon)):
-            raise InvalidInputError(
-                f"u={u!r} is too large for horizon={horizon!r}: the UCB "
-                f"width 32 u log(horizon) overflows")
-        if not (self.horizon <= sys.float_info.max
-                and math.isfinite(self.u * self.horizon)):
-            raise InvalidInputError(
-                f"u={u!r} is too large for horizon={horizon!r}: the "
-                f"truncation cutoff sqrt(u t / 2 log horizon) overflows "
-                f"by t = horizon")
+        self.u, self.horizon = _checked_bounds(u, horizon)
         self.num_annotators = num_annotators
         self.pulls = np.zeros(num_annotators, dtype=int)
         self.accepted_counts = np.zeros(num_annotators, dtype=int)
@@ -77,6 +66,21 @@ class BanditState:
         self._log_inv_delta = 2.0 * math.log(self.horizon)
         self._kept_sums = [0.0] * num_annotators
         self._waiting = [[] for _ in range(num_annotators)]
+
+
+def _checked_bounds(u, horizon) -> tuple[float, int]:
+    """``(u, horizon)`` after the checks that :class:`BanditState` lists."""
+    u_checked, h = _positive(u, "u"), _integer(horizon, "horizon", 2)
+    if not math.isfinite(32.0 * u_checked * math.log(h)):
+        raise InvalidInputError(
+            f"u={u!r} is too large for horizon={horizon!r}: the UCB "
+            f"width 32 u log(horizon) overflows")
+    if not (h <= sys.float_info.max and math.isfinite(u_checked * h)):
+        raise InvalidInputError(
+            f"u={u!r} is too large for horizon={horizon!r}: the "
+            f"truncation cutoff sqrt(u t / 2 log horizon) overflows "
+            f"by t = horizon")
+    return u_checked, h
 
 
 def _cutoff(state: BanditState, t: int) -> float:

@@ -208,7 +208,7 @@ class ExperimentConfig:
             # one the run can reach, and every run passes them.
             horizon = self.seed_pool_size * self.num_annotators + self.budget
             try:
-                bd.BanditState(self.num_annotators, u, horizon=max(horizon, 2))
+                bd._checked_bounds(u, max(horizon, 2))
             except InvalidInputError as exc:
                 if horizon > sys.float_info.max:  # no moment bound passes
                     keys = _overflowing_keys(self)

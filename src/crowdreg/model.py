@@ -12,7 +12,8 @@ updates need the weight moments, so :func:`fit_variational` iterates the two
 coordinate updates, accelerated by SQUAREM on the Gamma rates, until no rate
 moves more than a relative tolerance.
 
-The Cholesky routines come from scipy's compiled LAPACK wrapper, loaded by
+One LAPACK ``dposv`` call factors each weight precision and solves for its
+mean and covariance.  It comes from scipy's compiled LAPACK wrapper, loaded by
 file so that ``import crowdreg`` does not pay for ``scipy.linalg``'s package.
 """
 
@@ -61,16 +62,16 @@ _HALF.flags.writeable = False
 
 
 def _lapack_routines():
-    """LAPACK's ``dpotrf``, ``dpotrs`` and ``dposv`` from scipy's extension
-    module ``scipy/linalg/_flapack``, loaded from its file.
+    """LAPACK's ``dposv`` from scipy's extension module
+    ``scipy/linalg/_flapack``, loaded from its file.
 
-    Importing them from ``scipy.linalg.lapack`` would run ``scipy.linalg``'s
+    Importing it from ``scipy.linalg.lapack`` would run ``scipy.linalg``'s
     package ``__init__``, which takes most of ``import crowdreg``.  Python
-    keeps one copy of the extension's functions, so these are the ones that
+    keeps one copy of the extension's functions, so this is the one that
     ``scipy.linalg`` gets.  The module is taken out of ``sys.modules``, where
     loading it puts it, so a later ``import scipy.linalg`` runs as usual.  If
     ``scipy.linalg`` holds it already, or the file is missing or fails to
-    load, the functions come from the public ``scipy.linalg.lapack``.
+    load, the routine comes from the public ``scipy.linalg.lapack``.
     """
     name = "scipy.linalg._flapack"
     scipy_spec = importlib.util.find_spec("scipy")
@@ -88,14 +89,14 @@ def _lapack_routines():
                     continue
                 finally:
                     sys.modules.pop(name, None)
-                return flapack.dpotrf, flapack.dpotrs, flapack.dposv
-    from scipy.linalg.lapack import dposv, dpotrf, dpotrs
-    return dpotrf, dpotrs, dposv
+                return flapack.dposv
+    from scipy.linalg.lapack import dposv
+    return dposv
 
 
 # Called positionally, which f2py parses faster than keywords, in the order
-# of each routine's ``__doc__``: dposv(a, b, lower, overwrite_a, overwrite_b).
-dpotrf, dpotrs, dposv = _lapack_routines()
+# of its ``__doc__``: dposv(a, b, lower, overwrite_a, overwrite_b).
+dposv = _lapack_routines()
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -117,16 +118,19 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _cholesky(prec: np.ndarray, failure: str, *rhs):
-    """Lower Cholesky factor of ``prec`` from LAPACK's ``dpotrf``, the upper
-    triangle left as it was; given a Fortran-ordered ``rhs``, that factor and
-    the solution of ``prec x = rhs`` from one ``dposv``, which overwrites
-    ``rhs``.  A non-finite or not positive definite ``prec`` raises
-    :class:`NumericalFailureError` with the message ``failure``."""
+def _cholesky(prec: np.ndarray, failure: str, rhs: np.ndarray):
+    """``(P^-1 b, factor, P^-1)`` for ``P = prec`` from one LAPACK ``dposv``
+    over the Fortran-ordered ``rhs = [b | I]``, which it overwrites: the
+    factor is P's lower Cholesky factor, its upper triangle left as it was,
+    and the inverse is symmetrized.  A non-finite or not positive definite
+    ``prec`` raises :class:`NumericalFailureError` with the message
+    ``failure``."""
     if _all(np.isfinite(prec), axis=None):
-        *out, info = dposv(prec, *rhs, 1, 0, 1) if rhs else dpotrf(prec, 1, 0)
+        factor, sol, info = dposv(prec, rhs, 1, 0, 1)
         if info == 0:
-            return out if rhs else out[0]
+            cov = sol[:, 1:] + sol[:, 1:].T
+            cov *= _HALF
+            return sol[:, 0], factor, cov
     raise NumericalFailureError(failure)
 
 
@@ -363,9 +367,10 @@ class WeightPosterior:
     """Gaussian factor over the weight vector: ``Normal(mean, precision^-1)``.
 
     The precision matrix must be symmetric (to 1e-10 relative) and positive
-    definite; construction fails otherwise.  Construction also computes the
-    Cholesky factor (LAPACK ``dpotrf``), against which :attr:`covariance` and
-    :func:`predictive` solve with ``dpotrs``.
+    definite; construction fails otherwise.  One ``dposv`` over ``[P mean |
+    I]`` then gives the Cholesky factor and the read-only :attr:`covariance`,
+    the symmetrized inverse of P.  The fit's weight step solves the same way,
+    so a fitted posterior and one rebuilt from it hold the same bits.
     """
 
     mean: np.ndarray
@@ -384,28 +389,22 @@ class WeightPosterior:
             raise InvalidInputError("precision matrix is not symmetric")
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "precision", _frozen_array(prec))
-        object.__setattr__(self, "_factor", _cholesky(
-            self.precision, "precision matrix is not positive definite"))
+        _, factor, cov = _cholesky(
+            self.precision, "precision matrix is not positive definite",
+            self._rhs.copy(order="F"))
+        for name, v in (("_factor", factor), ("covariance", cov)):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
     @cached_property
-    def covariance(self) -> np.ndarray:
-        # The sweep's solve (dposv is dpotrf then dpotrs), so a fitted and a
-        # rebuilt posterior hold the same bits on every BLAS kernel.
-        sol, _ = dpotrs(self._factor, self._rhs.copy(order="F"), 1, 1)
-        _, cov = _split(sol)
-        cov.setflags(write=False)
-        return cov
-
-    @cached_property
     def _rhs(self) -> np.ndarray:
         """``[P mu | I]``, Fortran-ordered and read-only: the right-hand side
-        of this posterior's covariance and, with this posterior as the prior,
-        of every weight step before the labels' term joins the first
-        column."""
+        of this posterior's solve and, as a prior, the start of every weight
+        step's."""
         rhs = np.empty((self.dim, self.dim + 1), order="F")
         rhs[:, 0] = self.precision @ self.mean
         rhs[:, 1:] = np.eye(self.dim)
@@ -477,15 +476,6 @@ def expected_precision(posterior: PrecisionPosterior) -> np.ndarray:
     return posterior.shape / posterior.rate
 
 
-def _split(sol):
-    """``(P^-1 b, P^-1)`` from the solution of ``P x = [b | I]`` (Fortran
-    order); the inverse is symmetrized."""
-    inv = sol[:, 1:]
-    cov = inv + inv.T
-    cov *= _HALF
-    return sol[:, 0], cov
-
-
 # The fields of a WeightPosterior that hold the weight step's arrays, in the
 # order that the step returns them.
 _STEP_FIELDS = ("mean", "precision", "_factor", "covariance")
@@ -507,9 +497,8 @@ def _weight_step(stats, e, prior):
     sym = prec + prec.T
     sym *= _HALF
     sol[:, 0] += np.dot(e, xty)
-    factor, sol = _cholesky(sym, "weight update produced a non-finite or "
-                            "non positive definite precision", sol)
-    mean, cov = _split(sol)
+    mean, factor, cov = _cholesky(sym, "weight update produced a non-finite "
+                                  "or non positive definite precision", sol)
     return mean, sym, factor, cov
 
 
@@ -732,17 +721,22 @@ def fit_variational(
             FitReport(sweeps, converged, delta))
 
 
+def _variances(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``x' cov x`` for every row ``x`` of ``rows``, by one matrix product."""
+    return np.einsum("ij,ij->i", rows @ cov, rows)
+
+
 def predictive(x: np.ndarray, weights: WeightPosterior) -> tuple[float, float]:
     """Posterior predictive mean and variance for a test point.
 
     The label of a finite vector ``x`` is Gaussian with mean
-    ``x @ posterior mean`` and variance ``x' precision^-1 x`` (zero only for
-    ``x = 0``), solved against the posterior's Cholesky factor.  The
-    variance is the instance-selection score of :mod:`crowdreg.active`.
+    ``x @ posterior mean`` and variance ``x' covariance x`` (zero only for
+    ``x = 0``), clipped at 0 against rounding.  The variance is the
+    instance-selection score of :mod:`crowdreg.active`, by the same formula.
     """
     x = _finite_array(x, "x", 1)
     if x.shape[0] != weights.dim:
         raise InvalidInputError(
             f"x has dimension {x.shape[0]}, the posterior {weights.dim}")
-    sol, _ = dpotrs(weights._factor, x, 1)
-    return float(x @ weights.mean), float(max(x @ sol, 0.0))
+    var = _variances(x[None], weights.covariance)[0]
+    return float(x @ weights.mean), float(max(var, 0.0))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 from scipy.special import digamma, gammaln
 
 from crowdreg import (
@@ -443,48 +443,49 @@ def test_cholesky_path_equals_scipy_wrappers(problem):
     prec, rng = problem
     d = prec.shape[0]
     reference = scipy_factor(prec)
-    if reference is None:  # the sweep's dposv path fails as dpotrf's does
-        for rhs in ((), (np.asfortranarray(rng.normal(size=(d, d + 1))),)):
-            with pytest.raises(NumericalFailureError, match="not positive"):
-                model._cholesky(prec, "not positive definite", *rhs)
+    if reference is None:  # dposv fails where scipy's factorization does
+        with pytest.raises(NumericalFailureError, match="not positive"):
+            model._cholesky(prec, "not positive definite",
+                            np.asfortranarray(rng.normal(size=(d, d + 1))))
         with pytest.raises(NumericalFailureError):
             WeightPosterior(np.zeros(d), prec)
         return
-    assert np.array_equal(model._cholesky(prec, ""), reference[0])
     post = WeightPosterior(rng.normal(size=d), prec)
     assert np.array_equal(post._factor, reference[0])
     # the sweep's right-hand side [P mean | I]; columns 1..d are the inverse
     sol = cho_solve(reference,
                     np.column_stack([post.precision @ post.mean, np.eye(d)]))
     assert np.array_equal(post.covariance, 0.5 * (sol[:, 1:] + sol[:, 1:].T))
+    # the variance is x' cov x, spelled as select_instance spells it
     rows = rng.normal(size=(int(rng.integers(1, 40)), d))
     assert [predictive(x, post)[1] for x in rows] == [
-        max(x @ cho_solve(reference, x), 0.0) for x in rows]
+        max(np.einsum("ij,ij->i", x[None] @ post.covariance, x[None])[0], 0.0)
+        for x in rows]
 
 
 @PROPERTY
 @given(symmetric_matrices(), st.sampled_from([1e-6, 1.0, 1e6]))
 def test_covariance_bits_do_not_depend_on_the_first_column(problem, scale):
-    # the fit solves [P0 mu0 + E X'y | I] by dposv and the constructor
-    # [P mean | I] by dpotrs: one covariance formula holds only if column 0
-    # leaves columns 1..d alone and dposv's solution is dpotrs's
+    # the fit solves [P0 mu0 + E X'y | I] and the constructor [P mean | I],
+    # both by dposv: one covariance holds only if column 0 leaves the
+    # factor and columns 1..d alone
     prec, rng = problem
     assume(scipy_factor(prec) is not None)
     d = prec.shape[0]
-    factor = model._cholesky(prec, "")
 
-    def rhs(b):
-        out = np.empty((d, d + 1), order="F")
-        out[:, 0], out[:, 1:] = b, np.eye(d)
-        return out
+    def solved(b):
+        rhs = np.empty((d, d + 1), order="F")
+        rhs[:, 0], rhs[:, 1:] = b, np.eye(d)
+        return model._cholesky(prec, "", rhs)[1:]
 
-    b = scale * rng.normal(size=d)
-    solved = model._cholesky(prec, "", rhs(b))
-    assert np.array_equal(solved[0], factor)
-    by_dposv = model._split(solved[1])[1]
-    for column in (b, np.zeros(d)):
-        sol, _ = model.dpotrs(factor, rhs(column), 1, 1)
-        assert np.array_equal(model._split(sol)[1], by_dposv)
+    factor, cov = solved(scale * rng.normal(size=d))
+    for column in (np.zeros(d), rng.normal(size=d)):
+        again = solved(column)
+        assert np.array_equal(again[0], factor)
+        assert np.array_equal(again[1], cov)
+    post = WeightPosterior(rng.normal(size=d), prec)
+    assert np.array_equal(post._factor, factor)
+    assert np.array_equal(post.covariance, cov)
 
 
 @PROPERTY
@@ -495,10 +496,10 @@ def test_cholesky_rejects_non_finite_entries(problem, bad, data):
     d = prec.shape[0]
     i, j = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
     prec = prec.copy()
-    prec[i, j] = bad  # the upper triangle too, which dpotrf does not read
-    for rhs in ((), (np.asfortranarray(np.ones((d, d + 1))),)):
-        with pytest.raises(NumericalFailureError, match="not finite"):
-            model._cholesky(prec, "not finite", *rhs)
+    prec[i, j] = bad  # the upper triangle too, which dposv does not read
+    with pytest.raises(NumericalFailureError, match="not finite"):
+        model._cholesky(prec, "not finite",
+                        np.asfortranarray(np.ones((d, d + 1))))
     with pytest.raises(InvalidInputError):
         WeightPosterior(np.zeros(d), prec)
 
@@ -572,7 +573,8 @@ def sweep_problems(draw):
 
 
 # Reference spellings of the sweep's pieces: ``@`` products, a Python float
-# 0.5, keyword LAPACK calls, dpotrf then dpotrs, and isfinite().all().
+# 0.5, keyword LAPACK calls, dpotrf then dpotrs (from scipy.linalg.lapack,
+# whose extension functions model.py loads), and isfinite().all().
 # model.py reaches the same float operations through fewer, cheaper calls,
 # and the property below holds it to these bits.
 
@@ -583,11 +585,11 @@ def reference_weight_step(stats, e, prior):
     prec += prior.precision
     sym = prec + prec.T
     sym *= 0.5
-    factor, info = model.dpotrf(sym, lower=1, clean=0)
+    factor, info = lapack.dpotrf(sym, lower=1, clean=0)
     assert info == 0
     sol = prior._rhs.copy(order="F")
     sol[:, 0] += e @ xty
-    sol, _ = model.dpotrs(factor, sol, lower=1, overwrite_b=1)
+    sol, _ = lapack.dpotrs(factor, sol, lower=1, overwrite_b=1)
     cov = sol[:, 1:] + sol[:, 1:].T
     cov *= 0.5
     return sol[:, 0], sym, factor, cov
