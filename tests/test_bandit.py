@@ -1,8 +1,9 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdreg import bandit
@@ -24,6 +25,9 @@ def played_state(m=2, u=1.0, horizon=2, t=1):
     state = BanditState(m, u, horizon=horizon)
     state.t = t  # direct round override for threshold-only checks
     return state
+
+
+residuals = st.floats(0.0, 50.0)
 
 
 class TestTruncationThreshold:
@@ -65,9 +69,44 @@ class TestTruncatedMean:
             truncated_mean([-1.0], 0.0)
 
 
+@st.composite
+def ucb_states(draw):
+    """A hand-built state with few distinct pulls and means, so that equal
+    indices (ties) are common.  Half the states have every arm pulled (the
+    plain divide), a quarter have none pulled, which may still be at round
+    0."""
+    m = draw(st.integers(1, 60), label="m")
+    counts = st.integers(0, 4) | st.integers(0, 10**6)
+    if draw(st.booleans(), label="every arm pulled"):
+        counts = st.integers(1, 4) | st.integers(1, 10**6)
+    elif draw(st.booleans(), label="no arm pulled"):
+        counts = st.just(0)
+    pulls = draw(st.lists(counts, min_size=m, max_size=m), label="pulls")
+    means = draw(st.lists(
+        st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-1e6, 1e6),
+        min_size=m, max_size=m), label="means")
+    state = BanditState(m, draw(st.floats(1e-3, 1e6), label="u"), horizon=10)
+    state.pulls[:] = pulls
+    state.truncated_means[:] = means
+    state.t = draw(st.integers(0 if max(pulls) == 0 else 1, 10**9), label="t")
+    return state
+
+
+def tied_state(m):
+    """``m`` arms pulled twice each, whose largest index is tied between arms
+    5 and ``m - 1``."""
+    state = BanditState(m, 1.0, horizon=10)
+    state.pulls[:] = 2
+    state.truncated_means[:] = -1.0
+    state.truncated_means[[5, m - 1]] = -0.5
+    state.t = 2 * m
+    return state
+
+
 class TestUcbIndex:
     def test_unpulled_is_infinite(self):
-        assert bandit._ucb_values(BanditState(3, 1.0, horizon=10))[1] == math.inf
+        state = BanditState(3, 1.0, horizon=10)
+        assert bandit._arm_values(state)[1] == math.inf
 
     def test_width_formula(self):
         # with u=1 and 32 pulls the width reduces to sqrt(log t)
@@ -75,7 +114,7 @@ class TestUcbIndex:
         state.pulls[0] = 32
         state.truncated_means[0] = -1.0
         state.t = 3
-        assert bandit._ucb_values(state)[0] == pytest.approx(
+        assert bandit._arm_values(state)[0] == pytest.approx(
             -1.0 + math.sqrt(math.log(3)))
 
     def test_log_floor_at_round_one(self):
@@ -83,7 +122,7 @@ class TestUcbIndex:
         state.pulls[0] = 1
         state.truncated_means[0] = -2.5
         state.t = 1
-        assert bandit._ucb_values(state)[0] == pytest.approx(-2.5)
+        assert bandit._arm_values(state)[0] == pytest.approx(-2.5)
 
     def test_pulled_arm_before_round_one_is_located(self):
         state = BanditState(3, 1.0, horizon=10)
@@ -92,8 +131,10 @@ class TestUcbIndex:
             select_annotator(state)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_matches_the_masked_formula_to_the_bit(self, data):
+    @given(state=ucb_states())
+    @example(state=tied_state(50))
+    def test_matches_the_masked_formula_to_the_bit(self, state):
+        # the example ties the top index at the crowd size of an al_ucb run
         def masked_reference(state):
             values = np.full(state.num_annotators, np.inf)
             pulled = state.pulls > 0
@@ -103,29 +144,9 @@ class TestUcbIndex:
                 values[pulled] = state.truncated_means[pulled] + width
             return values
 
-        m = data.draw(st.integers(1, 60), label="m")
-        # few distinct pulls and means, so equal indices (ties) are common;
-        # half the states have every arm pulled (the plain divide), a quarter
-        # have none pulled, which may still be at round 0
-        counts = st.integers(0, 4) | st.integers(0, 10**6)
-        if data.draw(st.booleans(), label="every arm pulled"):
-            counts = st.integers(1, 4) | st.integers(1, 10**6)
-        elif data.draw(st.booleans(), label="no arm pulled"):
-            counts = st.just(0)
-        pulls = data.draw(st.lists(counts, min_size=m, max_size=m),
-                          label="pulls")
-        means = data.draw(st.lists(
-            st.sampled_from([0.0, -0.5, -1.0]) | st.floats(-1e6, 1e6),
-            min_size=m, max_size=m), label="means")
-        state = BanditState(m, data.draw(st.floats(1e-3, 1e6), label="u"),
-                            horizon=10)
-        state.pulls[:] = pulls
-        state.truncated_means[:] = means
-        state.t = data.draw(st.integers(0 if max(pulls) == 0 else 1, 10**9),
-                            label="t")
         with np.errstate(all="raise"):
             reference = masked_reference(state)
-            values = bandit._ucb_values(state)
+            values = bandit._arm_values(state)
             chosen = select_annotator(state)
         assert np.array_equal(values, reference)
         assert chosen == int(np.argmax(reference))
@@ -219,6 +240,57 @@ class TestRecordOutcome:
             accepted = record_outcome(state, j, residual_sq)
             assert accepted is (residual_sq <= bandit._cutoff(state, state.t))
 
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 3), u=st.floats(0.01, 10.0),
+           horizon=st.integers(2, 200), data=st.data())
+    def test_matches_push_then_pop_to_the_bit(self, m, u, horizon, data):
+        # record_outcome adds a sample within the cutoff straight to the kept
+        # sum when its arm has nothing waiting; the reference pushes every
+        # sample on the arm's heap and pops smallest first within the cutoff
+        def push_then_pop(state, j, residual_sq):
+            state.t += 1
+            threshold = bandit._cutoff(state, state.t)
+            waiting = state._waiting[j]
+            state.discarded += residual_sq > threshold
+            heapq.heappush(waiting, residual_sq)
+            state.pulls[j] += 1
+            kept, total = int(state.accepted_counts[j]), state._kept_sums[j]
+            while waiting and waiting[0] <= threshold:
+                total += heapq.heappop(waiting)
+                kept += 1
+            state._kept_sums[j] = total
+            state.accepted_counts[j] = kept
+            state.truncated_means[j] = -total / kept if kept else 0.0
+            return residual_sq <= threshold
+
+        def snapshot(state):
+            return (state.t, state.discarded, state.pulls.tolist(),
+                    state.accepted_counts.tolist(),
+                    [mean.hex() for mean in state.truncated_means.tolist()],
+                    [total.hex() for total in state._kept_sums],
+                    [[r.hex() for r in w] for w in state._waiting])
+
+        state = BanditState(m, u, horizon=horizon)
+        reference = BanditState(m, u, horizon=horizon)
+        batch = data.draw(st.lists(st.lists(residuals, max_size=3),
+                                   min_size=m, max_size=m), label="batch")
+        initialize_state(state, batch)
+        initialize_state(reference, batch)
+        # "at" is a residual exactly at the refreshed cutoff, "below" and
+        # "above" are one float either side of it
+        near_cutoff = st.sampled_from(["below", "at", "above"])
+        steps = data.draw(st.lists(st.tuples(
+            st.integers(0, m - 1), near_cutoff | residuals), max_size=40),
+            label="steps")
+        for j, residual_sq in steps:
+            if isinstance(residual_sq, str):
+                cutoff = bandit._cutoff(state, state.t + 1)
+                toward = {"below": 0.0, "at": cutoff, "above": math.inf}
+                residual_sq = math.nextafter(cutoff, toward[residual_sq])
+            expected = push_then_pop(reference, j, residual_sq)
+            assert record_outcome(state, j, residual_sq) is expected
+            assert snapshot(state) == snapshot(reference)
+
     def test_validates_input(self):
         state = BanditState(1, 1.0, horizon=10)
         with pytest.raises(InvalidInputError):
@@ -305,9 +377,6 @@ class TestInitializeState:
         with pytest.raises(InvalidInputError, match=r"\bresidual_sqs\b"):
             initialize_state(state, batch)
         assert state.t == 0 and list(state.pulls) == [0, 0]
-
-
-residuals = st.floats(0.0, 50.0)
 
 
 class TestDiscardedCount:
@@ -424,7 +493,7 @@ class TestRegretBound:
 def test_bandit_state_rejects_a_moment_bound_whose_ucb_width_overflows():
     state = BanditState(3, 1e300, horizon=10)  # 32 u log 10 is finite
     initialize_state(state, [[0.1], [0.2], [0.3]])
-    assert np.all(np.isfinite(bandit._ucb_values(state)))
+    assert np.all(np.isfinite(bandit._arm_values(state)))
     with pytest.raises(InvalidInputError, match=r"^u=1e\+308 .*horizon=10"):
         BanditState(3, 1e308, horizon=10)
 
