@@ -66,9 +66,13 @@ _SPLIT, _KMEANS, _ANNOT, _STRATEGY, _LABEL, _SGRID = range(6)
 
 _SINGLE_SOURCE_SD = 0.01
 
-# Sweep cap of each warm-started per-round refit; the seed-pool and
-# scale-search fits run at fit_variational's defaults.
+# Sweep cap and stop of each warm-started per-round refit; the seed-pool
+# and scale-search fits run at fit_variational's defaults (200, 1e-6).  The
+# records print 9 significant digits and every pick is a comparison: a stop
+# at a relative rate change of 5e-5 moved no pick against 1e-6 (README,
+# "Model"), while 1e-4 swapped two near-tied picks of a large-pool run.
 _ROUND_SWEEPS = 50
+_ROUND_TOLERANCE = 5e-5
 
 # Noise sd of the synthetic dataset's structural residual.
 _RESIDUAL_SD = 4.7
@@ -627,8 +631,8 @@ def _run_repetition(config, data, rep):
         y = float(setup.answers[j, pos])
         dataset = dataset.with_label(pos, j, y)
         weights, precisions, _ = fit_variational(
-            dataset, *setup.priors, max_sweeps=_ROUND_SWEEPS,
-            warm_start=(weights, precisions),
+            dataset, *setup.priors, tolerance=_ROUND_TOLERANCE,
+            max_sweeps=_ROUND_SWEEPS, warm_start=(weights, precisions),
         )
         accepted = True
         if state is not None:

@@ -260,8 +260,10 @@ class TestEmitRecords:
 # The SQUAREM fit with the relative rate stop moved it from da9347f4...: its
 # refits stop nearer the fixed point than the old absolute rule's.  Drawing
 # the labels from one normal stream per annotator moved it from a28195d3...
+# Stopping each round refit at a relative rate change of 5e-5 moved it from
+# a5e81398..., with no pick moved.
 GOLDEN_RECORDS_SHA256 = (
-    "a5e813985de24dd246d2a0b4ef1a6ecac5b058f52a4063c4adc4a76ccbde738b")
+    "6e26f4d5e934837b2b645c4bb32ee3f7da43e30cc6556ba6fd6995a55591f4b6")
 
 
 def test_records_match_the_golden_digest(tmp_path):
@@ -274,9 +276,10 @@ def test_records_match_the_golden_digest(tmp_path):
 # SHA-256 of the CSV records of a sigmoid run on a CSV file with a header
 # row, taken as above.  It pins load_csv and k-means, which the default
 # config never runs; array-cost loading and centroid sums left it unchanged.
-# The per-annotator label streams moved it from 8dc6f7f5...
+# The per-annotator label streams moved it from 8dc6f7f5...  The round
+# refit's stop at 5e-5 moved it from 565b6168...
 GOLDEN_SIGMOID_CSV_SHA256 = (
-    "565b6168943da976cd9c4fb24b453623afae6fb043f30ec1ffbcc7ea916930b9")
+    "b4c14015120534971e3e10e98f232c19c075f5f3966528a4fc03186cfd3b7ccb")
 
 
 def test_sigmoid_csv_records_match_the_golden_digest(tmp_path):
@@ -291,6 +294,54 @@ def test_sigmoid_csv_records_match_the_golden_digest(tmp_path):
     emit_records(run_experiment(config), path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == GOLDEN_SIGMOID_CSV_SHA256)
+
+
+def test_the_round_stop_moves_no_pick(monkeypatch, tmp_path):
+    # each round refit stops at a relative rate change of 5e-5, not at the
+    # fit's default 1e-6: every instance, annotator, label, acceptance,
+    # regret and discard is the same as at 1e-6, and rmse and payment agree
+    # to 1e-3 relative
+    X, y = harness.synthetic_housing_like(7, n=300, d=6)
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.column_stack([X, y]), fmt="%.17g", delimiter=",")
+    configs = [
+        ExperimentConfig(repetitions=3),
+        # a payment band that brackets the sigmoid model's precisions, so
+        # that the payments follow the refits
+        ExperimentConfig(data_path=str(data), transform="sigmoid",
+                         s_grid=(0.5, 1.0, 2.0), num_annotators=8, num_good=6,
+                         strategy="instance_only", budget=40, repetitions=2,
+                         beta_lower=0.001, beta_upper=0.1),
+    ]
+    reports = []
+    fit = harness.fit_variational
+
+    def spy(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        if kwargs.get("warm_start") is not None:
+            reports.append(result[2])
+        return result
+
+    monkeypatch.setattr(harness, "fit_variational", spy)
+    for config in configs:
+        reports.clear()
+        shipped = run_experiment(config)
+        assert len(reports) == config.repetitions * config.budget
+        for report in reports:
+            assert ((report.converged and report.final_delta < 5e-5)
+                    or report.iterations == 50)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_ROUND_TOLERANCE", 1e-6)
+            tight = run_experiment(config)
+        assert len(shipped) == len(tight) == config.repetitions * (
+            config.budget + 1)
+        for a, b in zip(shipped, tight):
+            assert ((a.rep, a.round, a.instance, a.annotator, a.label,
+                     a.accepted, a.regret, a.discarded)
+                    == (b.rep, b.round, b.instance, b.annotator, b.label,
+                        b.accepted, b.regret, b.discarded))
+            assert a.rmse == pytest.approx(b.rmse, rel=1e-3)
+            assert a.payment == pytest.approx(b.payment, rel=1e-3)
 
 
 def small_config(**overrides):
@@ -414,11 +465,13 @@ class TestRunExperiment:
         for w, p in priors:
             assert w is weight_prior and p is precision_priors
         # grid and seed fits run at the fit's defaults; each refit is capped
-        # at 50 sweeps and warm-started
+        # at 50 sweeps, stops at a relative rate change of 5e-5 and is
+        # warm-started
         assert keywords[:4] == [{}] * 4
         for kwargs in keywords[4:]:
-            assert set(kwargs) == {"max_sweeps", "warm_start"}
+            assert set(kwargs) == {"max_sweeps", "tolerance", "warm_start"}
             assert kwargs["max_sweeps"] == 50
+            assert kwargs["tolerance"] == 5e-5
             assert kwargs["warm_start"] is not None
 
     def test_every_bulk_build_is_a_block_checked_as_a_whole(self,
