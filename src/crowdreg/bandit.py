@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
+from array import array
 
 import numpy as np
 
@@ -52,6 +52,14 @@ class BanditState:
     truncated mean as the cutoff grows stays counted, so it can exceed
     ``pulls - accepted_counts``.
 
+    The per-arm counters live in flat ``array.array`` buffers (int64 pull
+    and kept counts, float64 means), which the pull path reads and writes as
+    Python scalars: a numpy item costs two to five times as much.  ``pulls``,
+    ``accepted_counts`` and ``truncated_means`` are writable numpy views of
+    those buffers, made afresh on each read, so a write through them is what
+    the next pull reads; they cannot be rebound, and a copy or a pickle of
+    the state carries only the buffers.
+
     One experiment run owns one state; distinct runs are independent.
     """
 
@@ -59,14 +67,30 @@ class BanditState:
         num_annotators = _integer(num_annotators, "num_annotators", 1)
         self.u, self.horizon = _checked_bounds(u, horizon)
         self.num_annotators = num_annotators
-        self.pulls = np.zeros(num_annotators, dtype=int)
-        self.accepted_counts = np.zeros(num_annotators, dtype=int)
-        self.truncated_means = np.zeros(num_annotators)
+        self._pulls = array("q", [0]) * num_annotators
+        self._accepted_counts = array("q", [0]) * num_annotators
+        self._truncated_means = array("d", [0.0]) * num_annotators
         self.t = 0
         self.discarded = 0
         self._log_inv_delta = 2.0 * math.log(self.horizon)
         self._kept_sums = [0.0] * num_annotators
         self._waiting = [[] for _ in range(num_annotators)]
+
+    @property
+    def pulls(self) -> np.ndarray:
+        """Samples recorded per arm (int64 view)."""
+        return np.frombuffer(self._pulls, np.int64)
+
+    @property
+    def accepted_counts(self) -> np.ndarray:
+        """Samples inside each arm's truncated mean (int64 view)."""
+        return np.frombuffer(self._accepted_counts, np.int64)
+
+    @property
+    def truncated_means(self) -> np.ndarray:
+        """Each arm's truncated mean reward, 0 with nothing kept (float64
+        view)."""
+        return np.frombuffer(self._truncated_means, np.float64)
 
 
 def _checked_bounds(u, horizon) -> tuple[float, int]:
@@ -124,8 +148,10 @@ def _arm_values(state: BanditState) -> list[float]:
     an active-learning round.  c / n_j, then the square root, then + mean,
     in that order, fix the bits of every index and so of every pull; the
     count converts to a float exactly, and Python's operations are the same
-    correctly rounded ones as numpy's."""
-    counts = state.pulls.tolist()
+    correctly rounded ones as numpy's.  The counts and means are read from
+    the state's ``array.array`` buffers, whose items come out as Python
+    scalars without numpy's per-call cost."""
+    counts = state._pulls
     t = state.t
     if t < 1:
         if max(counts) > 0:
@@ -134,7 +160,7 @@ def _arm_values(state: BanditState) -> list[float]:
         t = 1  # log 1 = 0; no arm is pulled, so the width is never read
     c = 32.0 * state.u * math.log(t)
     values = []  # before Python 3.12 a comprehension costs a frame of its own
-    for n, mean in zip(counts, state.truncated_means.tolist()):
+    for n, mean in zip(counts, state._truncated_means):
         values.append(math.sqrt(c / n) + mean if n else math.inf)
     return values
 
@@ -157,14 +183,14 @@ def _admit(state: BanditState, j: int, residual_sqs, threshold: float) -> None:
     for residual_sq in residual_sqs:
         state.discarded += residual_sq > threshold
         heapq.heappush(waiting, residual_sq)
-    state.pulls[j] += len(residual_sqs)
-    kept, total = int(state.accepted_counts[j]), state._kept_sums[j]
+    state._pulls[j] += len(residual_sqs)
+    kept, total = state._accepted_counts[j], state._kept_sums[j]
     while waiting and waiting[0] <= threshold:
         total += heapq.heappop(waiting)
         kept += 1
     state._kept_sums[j] = total
-    state.accepted_counts[j] = kept
-    state.truncated_means[j] = -total / kept if kept else 0.0
+    state._accepted_counts[j] = kept
+    state._truncated_means[j] = -total / kept if kept else 0.0
 
 
 def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
@@ -195,12 +221,12 @@ def record_outcome(state: BanditState, j: int, residual_sq: float) -> bool:
     if state._waiting[j] or residual_sq > threshold:
         _admit(state, j, (residual_sq,), threshold)
         return residual_sq <= threshold
-    state.pulls[j] += 1
-    kept = int(state.accepted_counts[j]) + 1
+    state._pulls[j] += 1
+    kept = state._accepted_counts[j] + 1
     total = state._kept_sums[j] + residual_sq
     state._kept_sums[j] = total
-    state.accepted_counts[j] = kept
-    state.truncated_means[j] = -total / kept
+    state._accepted_counts[j] = kept
+    state._truncated_means[j] = -total / kept
     return True
 
 
@@ -238,32 +264,48 @@ def initialize_state(state: BanditState, residual_sqs) -> BanditState:
     return state
 
 
-@dataclass(eq=False)
+_INT64_MAX = 2**63 - 1  # a Python int compares exactly with uint64 counts
+
+
 class RegretLedger:
     """Ground-truth suboptimality gaps and realized pull counts.
 
     ``gaps[j]`` is the extra label variance annotator ``j`` carries over the
     best annotator; the realized regret is the gap-weighted pull count.
+
+    The counts live in a flat int64 ``array.array`` buffer that
+    :meth:`record_pull` updates as a Python scalar; ``pulls`` is a writable
+    numpy view of it, made afresh on each read, which cannot be rebound, so a
+    copy or a pickle of the ledger carries only the buffer.  Ledgers compare
+    by identity.
     """
 
-    gaps: np.ndarray
-    pulls: np.ndarray
-
-    def __post_init__(self):
-        gaps = _finite_array(self.gaps, "gaps", 1)
-        if gaps.size < 1 or np.any(gaps < 0):
+    def __init__(self, gaps, pulls):
+        checked = _finite_array(gaps, "gaps", 1)
+        if checked.size < 1 or np.any(checked < 0):
             raise InvalidInputError("gaps must be non-empty and >= 0")
-        self.gaps = gaps
         try:
-            pulls = np.asarray(self.pulls)
+            counts = np.asarray(pulls)
         except (TypeError, ValueError):
-            pulls = None
-        if (pulls is None or pulls.dtype.kind not in "iu"
-                or pulls.shape != gaps.shape or np.any(pulls < 0)):
+            counts = None
+        # a uint64 count above int64's range would wrap negative in the buffer
+        if (counts is None or counts.dtype.kind not in "iu"
+                or counts.shape != checked.shape or np.any(counts < 0)
+                or np.any(counts > _INT64_MAX)):
             raise InvalidInputError(
-                f"pulls must be {gaps.size} integer counts >= 0, one per "
-                f"gap, got {self.pulls!r}")
-        self.pulls = pulls.astype(int)
+                f"pulls must be {checked.size} integer counts >= 0, one per "
+                f"gap, got {pulls!r}")
+        self.gaps = checked
+        self._pulls = array("q", [0]) * checked.size
+        self.pulls[:] = counts
+
+    def __repr__(self) -> str:
+        return f"RegretLedger(gaps={self.gaps!r}, pulls={self.pulls!r})"
+
+    @property
+    def pulls(self) -> np.ndarray:
+        """Pulls recorded per annotator (int64 view)."""
+        return np.frombuffer(self._pulls, np.int64)
 
     @classmethod
     def from_precisions(cls, precisions) -> "RegretLedger":
@@ -277,7 +319,7 @@ class RegretLedger:
     def record_pull(self, j: int) -> None:
         if type(j) is not int or not 0 <= j < self.gaps.size:
             j = _integer(j, "annotator index", 0, self.gaps.size - 1)
-        self.pulls[j] += 1
+        self._pulls[j] += 1
 
 
 def regret_seq(ledger: RegretLedger) -> float:

@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import heapq
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -471,6 +474,88 @@ class TestRegretAccounting:
         with pytest.raises(InvalidInputError, match="^annotator index"):
             ledger.record_pull(j)
         assert list(ledger.pulls) == [0, 0, 1]
+
+
+# each public counter and the flat buffer that it views
+STATE_FIELDS = [("pulls", "_pulls", np.int64),
+                ("accepted_counts", "_accepted_counts", np.int64),
+                ("truncated_means", "_truncated_means", np.float64)]
+
+
+def state_snapshot(state):
+    return (state.t, state.discarded, state.pulls.tolist(),
+            state.accepted_counts.tolist(),
+            [mean.hex() for mean in state.truncated_means.tolist()],
+            [total.hex() for total in state._kept_sums],
+            [[r.hex() for r in w] for w in state._waiting])
+
+
+def views_match_buffers(state, ledger):
+    return all(getattr(state, name).tolist() == getattr(state, buffer).tolist()
+               for name, buffer, _ in STATE_FIELDS) and (
+        ledger.pulls.tolist() == ledger._pulls.tolist())
+
+
+class TestCountersBehindViews:
+    @staticmethod
+    def play(state, ledger, residual_sqs):
+        for residual_sq in residual_sqs:
+            j = select_annotator(state)
+            record_outcome(state, j, residual_sq)
+            ledger.record_pull(j)
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+        ids=["deepcopy", "pickle"])
+    def test_a_copy_plays_on_like_the_original(self, duplicate):
+        rng = np.random.default_rng(11)
+        state = BanditState(4, 1.0, horizon=500)
+        ledger = RegretLedger.from_precisions([4.0, 1.0, 2.0, 0.5])
+        self.play(state, ledger, rng.exponential(2.0, 100).tolist())
+        assert any(state._waiting)  # the copy carries waiting samples too
+        state_copy, ledger_copy = duplicate(state), duplicate(ledger)
+        later = rng.exponential(2.0, 200).tolist()
+        self.play(state, ledger, later)
+        self.play(state_copy, ledger_copy, later)
+        assert state_snapshot(state_copy) == state_snapshot(state)
+        assert ledger_copy.pulls.tolist() == ledger.pulls.tolist()
+        assert ledger_copy.gaps.tolist() == ledger.gaps.tolist()
+        assert regret_seq(ledger_copy) == regret_seq(ledger)
+        assert views_match_buffers(state_copy, ledger_copy)
+        # the copy owns its memory
+        state_copy.pulls[0] += 1
+        ledger_copy.pulls[0] += 1
+        assert state.pulls[0] + 1 == state_copy.pulls[0]
+        assert ledger.pulls[0] + 1 == ledger_copy.pulls[0]
+
+    @pytest.mark.parametrize("name", [row[0] for row in STATE_FIELDS])
+    def test_rebinding_a_public_field_cannot_desync_it(self, name):
+        state = BanditState(3, 1.0, horizon=10)
+        ledger = RegretLedger.from_precisions([4.0, 1.0, 2.0])
+        self.play(state, ledger, [0.01, 0.02, 0.03, 0.04])
+        with contextlib.suppress(AttributeError):
+            setattr(state, name, np.full(3, 7, getattr(state, name).dtype))
+        with contextlib.suppress(AttributeError):
+            ledger.pulls = np.full(3, 7)
+        assert views_match_buffers(state, ledger)
+
+    def test_public_fields_are_writable_arrays_of_one_count_per_arm(self):
+        state = BanditState(4, 1.0, horizon=10)
+        ledger = RegretLedger(np.array([0.0, 1.0, 2.0, 0.5]),
+                              np.array([1, 2, 3, 4], dtype=np.uint8))
+        arrays = [(getattr(state, name), dtype)
+                  for name, _, dtype in STATE_FIELDS]
+        for array, dtype in arrays + [(ledger.pulls, np.int64)]:
+            assert array.dtype == dtype and array.shape == (4,)
+            assert array.flags.writeable
+
+    def test_a_write_through_the_ledger_view_is_what_regret_reads(self):
+        # TestSelectAnnotator writes the state's views the same way
+        ledger = RegretLedger.from_precisions([4.0, 1.0])
+        ledger.pulls[:] = 3
+        assert regret_seq(ledger) == 3 * 0.75
+        ledger.record_pull(1)
+        assert ledger.pulls.tolist() == [3, 4]
 
 
 class TestRegretBound:

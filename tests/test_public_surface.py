@@ -140,6 +140,9 @@ BOUNDARY_ROWS = [
      [-1, 3]),
     (crowdreg.RegretLedger, dict(gaps=[0.0, 1.0], pulls=[0, 1]), "pulls",
      ["a", 3]),
+    # a count above int64's range would wrap negative in the ledger
+    (crowdreg.RegretLedger, dict(gaps=[0.0, 1.0], pulls=[0, 1]), "pulls",
+     np.array([0, 2**63], dtype=np.uint64)),
     (crowdreg.PrecisionPosterior, dict(shape=[1.0], rate=[1.0]), "shape",
      ["a"]),
     (crowdreg.PrecisionPosterior, dict(shape=[1.0], rate=[1.0]), "rate",
